@@ -146,6 +146,17 @@ def _in_unit(v):
     return None if 0 < v < 1 else "must be in (0, 1)"
 
 
+def _window(args, config):
+    """t-max and dt of an orbit grid whose e^t is finite and whose length is capped."""
+    t_max = _resolve(args, config, "t-max", 15.0, float, _positive("t-max"))
+    dt = _resolve(args, config, "dt", 0.01, float, _positive("dt"))
+    if not t_max + dt <= flows.T_LIMIT:
+        raise ValidationError("t-max", f"e^t overflows float64: need t-max + dt <= {flows.T_LIMIT:.6g}")
+    if t_max / dt > flows.MAX_SAMPLES:
+        raise ValidationError("t-max", f"t-max / dt exceeds {flows.MAX_SAMPLES} samples")
+    return t_max, dt
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -192,8 +203,7 @@ def cmd_bad(args, config, consts):
     c = _resolve(args, config, "c", None, float, lambda v: None if 0 < v < 1 else "must be in (0, 1)")
     if c is None:
         raise ValidationError("c", "required")
-    t_max = _resolve(args, config, "t-max", 15.0, float, _positive("t-max"))
-    dt = _resolve(args, config, "dt", 0.01, float, _positive("dt"))
+    t_max, dt = _window(args, config)
     q_bound = _resolve(args, config, "q-bound", None, int, lambda v: None if v >= 1 else "must be >= 1")
     if q_bound is None:
         # the orbit on [0, t_max] dips below sqrt(c) exactly when some
@@ -229,8 +239,7 @@ def cmd_orbit(args, config, consts):
     A = _resolve(args, config, "A", None, float)
     if A is None:
         raise ValidationError("A", "required")
-    t_max = _resolve(args, config, "t-max", 15.0, float, _positive("t-max"))
-    dt = _resolve(args, config, "dt", 0.01, float, _positive("dt"))
+    t_max, dt = _window(args, config)
     profile = flows.orbit_profile(A, w, t_max, dt)
     res = {
         "min_delta": profile.min_delta,

@@ -15,16 +15,25 @@ For m = n = 1 the profile uses a closed form: the lattice g_t u_a Z^2
 consists of (e^t(p + aq), e^{-t}q), so over the whole time window only
 the record minima of q -> dist(q a, Z) can ever realize the minimum,
 and the profile is the lower envelope of max(a_r e^t, b_r e^{-t}) over
-those records plus the q = 0 branch e^t.  This is exact, not an
-approximation, and is what makes 10^3-matrix sweeps affordable.
+those records plus the q = 0 branch e^t.  By Lagrange's best
+approximation theorem the records are the convergent denominators of a,
+so they come from its continued fraction in O(t_max) steps.  The float
+A is the rational num/den, and the records are exact for that rational:
+past t ~ ln(den) its orbit dives like den e^{-t}, as a rational's must.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .lattices import Lattice, WeightVector, delta_weighted, make_lattice
+from .errors import EnumerationBudgetExceeded, ValidationError
+from .lattices import CELL_BUDGET, Lattice, WeightVector, delta_weighted, make_lattice
+
+# e^t is finite in float64 up to t = ln(max float) = 709.78
+T_LIMIT = math.log(np.finfo(np.float64).max)
+# cap on t_max / dt: the 1x1 profile holds a (samples x records) array
+MAX_SAMPLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,10 @@ class FlowSpec:
             raise ValidationError("dt", "must be positive")
         if self.dt > self.t_max:
             raise ValidationError("dt", "must not exceed t_max")
+        if not self.t_max + self.dt <= T_LIMIT:
+            raise ValidationError("t_max", f"e^t overflows float64: need t_max + dt <= {T_LIMIT:.6g}")
+        if self.t_max / self.dt > MAX_SAMPLES:
+            raise ValidationError("t_max", f"t_max / dt exceeds {MAX_SAMPLES} samples")
 
 
 @dataclass(frozen=True)
@@ -81,19 +94,30 @@ def u_A(A, m=None, n=None):
 
 
 def _record_frontier(a, t_max):
-    """Pareto frontier (dist(q a), q) of record minima for q = 1..ceil(e^t_max).
+    """Record minima (dist(q a, Z), q) over 1 <= q <= e^t_max, exact for the float a.
 
     Any q whose dist is not a running record is dominated by an earlier
     record at every t, so only records can realize the orbit minimum.
+    By Lagrange's theorem the records are convergent denominators of a:
+    run Euclid on a = num/den in integers and keep each q_k whose dist
+    min(r, den - r)/den, r = q_k num mod den, beats every earlier one
+    (this also merges the repeated q = 1 when a_1 = 1).
     """
-    Q = int(np.ceil(np.exp(t_max)))
-    q = np.arange(1, Q + 1, dtype=np.float64)
-    r = a * q
-    dist = np.abs(r - np.round(r))
-    run = np.minimum.accumulate(dist)
-    prev = np.concatenate(([np.inf], run[:-1]))
-    rec = dist < prev
-    return dist[rec], q[rec]
+    num, den = float(a).as_integer_ratio()
+    h, k = den, num % den  # frac(a) = k/h = [0; a_1, a_2, ...]
+    q_prev, q, best, recs = 0, 1, den, []
+    while math.log(q) <= t_max:
+        r = q * num % den
+        dist = min(r, den - r)
+        if dist < best:
+            best = dist
+            recs.append((dist / den, q))
+        if k == 0:
+            break
+        a_k, h, k = h // k, k, h % k
+        q_prev, q = q, a_k * q + q_prev
+    dists, qs = zip(*recs)
+    return np.array(dists), np.array(qs, dtype=np.float64)
 
 
 def _profile_fastpath(a, ts):
@@ -115,9 +139,7 @@ def orbit_profile(A, w, t_max=15.0, dt=0.01, budget=None):
     """
     spec = FlowSpec(weights=w, t_max=float(t_max), dt=float(dt))
     ts = np.arange(0.0, spec.t_max + spec.dt * 0.5, spec.dt)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape != (w.m, w.n):
-        raise ValidationError("A", f"expected shape {(w.m, w.n)}, got {A.shape}")
+    A = _as_matrix(A, w)
     if w.d == 2 and w.equal:
         deltas = _profile_fastpath(float(A[0, 0]), ts)
     else:
@@ -137,6 +159,16 @@ def orbit_profile(A, w, t_max=15.0, dt=0.01, budget=None):
     )
 
 
+def _as_matrix(A, w):
+    """A as a finite w.m x w.n float array."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.shape != (w.m, w.n):
+        raise ValidationError("A", f"expected shape {(w.m, w.n)}, got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("A", "entries must be finite")
+    return A
+
+
 def _weighted_norm(X, weights):
     """||x||_i = max_k |x_k|^(1/i_k) along the last axis."""
     e = 1.0 / np.asarray(weights, dtype=float)
@@ -148,24 +180,31 @@ def direct_bad_constant(A, w, q_bound):
 
     The optimal p is the coordinatewise nearest integer to -Aq because
     ||.||_i is a coordinatewise max of even increasing functions.
-    Nonincreasing in q_bound by construction.
+    Nonincreasing in q_bound by construction.  Raises
+    EnumerationBudgetExceeded before allocating when the number of q
+    exceeds CELL_BUDGET.
     """
     if q_bound < 1:
         raise ValidationError("q_bound", "must be >= 1")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape != (w.m, w.n):
-        raise ValidationError("A", f"expected shape {(w.m, w.n)}, got {A.shape}")
+    A = _as_matrix(A, w)
+    q_bound = int(q_bound)
+    cells = q_bound if w.n == 1 else (2 * q_bound + 1) ** w.n - 1
+    if cells > CELL_BUDGET:
+        raise EnumerationBudgetExceeded(f"{cells} values of q, budget is {CELL_BUDGET}")
+    step = 1 << 20
     if w.n == 1:
-        q = np.arange(1, int(q_bound) + 1, dtype=np.float64)[:, None]
+        chunks = (
+            np.arange(lo, min(lo + step, q_bound + 1), dtype=np.float64)[:, None]
+            for lo in range(1, q_bound + 1, step)
+        )
     else:
-        axes = [np.arange(-int(q_bound), int(q_bound) + 1) for _ in range(w.n)]
+        axes = [np.arange(-q_bound, q_bound + 1) for _ in range(w.n)]
         grids = np.meshgrid(*axes, indexing="ij")
         q = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.float64)
         q = q[np.max(np.abs(q), axis=1) >= 1]
+        chunks = (q[lo : lo + step] for lo in range(0, len(q), step))
     best = np.inf
-    step = 1 << 20
-    for lo in range(0, len(q), step):
-        qs = q[lo : lo + step]
+    for qs in chunks:
         r = qs @ A.T
         r -= np.round(r)
         vals = _weighted_norm(r, w.i) * _weighted_norm(qs, w.j)

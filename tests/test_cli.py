@@ -83,6 +83,33 @@ def test_validation_exit_1_names_field(capsys):
     assert code == 1 and "config" in err
 
 
+@pytest.mark.parametrize("command", ["bad", "orbit"])
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--A", "nan", "--t-max", "5"], "A"),
+        (["--A", "inf", "--t-max", "5"], "A"),
+        (["--A", "0.3", "--t-max", "800"], "t-max"),
+        (["--A", "0.3", "--t-max", "20", "--dt", "0.0001"], "t-max"),
+    ],
+)
+def test_orbit_window_and_A_validated(capsys, command, flags, field):
+    extra = ["--c", "0.1"] if command == "bad" else []
+    code = cli.main([command, *flags, *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+def test_orbit_reaches_t30(capsys):
+    code, rep = run_json(capsys, "orbit", "--A", "0.3", "--t-max", "30")
+    assert code == 0
+    deltas = [d for _, d in rep["results"]["samples"]]
+    assert len(deltas) == 3001
+    assert all(0.0 < d <= 1.0 for d in deltas)
+
+
 def test_orbit_csv_header(capsys):
     code, out = run(capsys, "orbit", "--A", "0.5", "--t-max", "1", "--dt", "0.5", "--format", "csv")
     assert code == 0

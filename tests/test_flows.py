@@ -1,11 +1,15 @@
 """Diagonal flows, orbit minima, and the badly-approximable classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspdim as cd
+from cuspdim.flows import _record_frontier
 
 W2 = cd.EQUAL_WEIGHTS_2D
 PHI_M1 = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,6 +67,53 @@ def test_orbit_half_dives():
     assert prof.min_delta < 0.05
 
 
+def test_orbit_A0_reach_t40():
+    """The frontier needs no e^{t_max} array: t_max = 40 is in reach."""
+    prof = cd.orbit_profile(0.0, W2, 40.0, 0.01)
+    assert abs(prof.min_delta / math.exp(-40.0) - 1.0) <= 1e-12
+
+
+def _scan_records(a, t_max):
+    """Exact record minima of q -> dist(q a, Z) over every q <= ceil(e^t_max), ln q <= t_max."""
+    x = Fraction(a)
+    num, den = x.numerator, x.denominator
+    best, out = None, []
+    for q in range(1, math.ceil(math.exp(t_max)) + 1):
+        if math.log(q) > t_max:
+            break
+        r = q * num % den
+        dist = Fraction(min(r, den - r), den)
+        if best is None or dist < best:
+            best = dist
+            out.append((q, dist))
+    return out
+
+
+_SMALL_RATIONALS = st.integers(1, 12).flatmap(
+    lambda m: st.integers(-3 * m + 1, 3 * m - 1).map(lambda k: k / m)
+)
+_NEAR_HALF_OR_ONE = st.builds(
+    lambda c, e: c + e, st.sampled_from([-1.0, -0.5, 0.5, 1.0]), st.floats(-1e-3, 1e-3)
+)
+_A_VALUES = st.one_of(
+    st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True),
+    st.just(0.0),
+    _SMALL_RATIONALS,
+    _NEAR_HALF_OR_ONE,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_A_VALUES, t_max=st.floats(0.01, 9.0))
+def test_record_frontier_matches_exact_scan(a, t_max):
+    """Continued-fraction records equal an exact integer scan over every q."""
+    dists, qs = _record_frontier(a, t_max)
+    want = _scan_records(a, t_max)
+    assert [int(q) for q in qs] == [q for q, _ in want]
+    for got, (_, exact) in zip(dists, want):
+        assert abs(Fraction(float(got)) - exact) <= Fraction(math.ulp(float(exact)))
+
+
 def test_fastpath_matches_general_path():
     rng = np.random.default_rng(11)
     for A in rng.uniform(0.0, 1.0, 5):
@@ -84,6 +135,12 @@ def test_direct_constant_sqrt2():
     want = 6.0 - 4.0 * math.sqrt(2.0)
     got = cd.direct_bad_constant(np.array([[SQRT2_M1]]), W2, 10**5)
     assert abs(got - want) <= 1e-9
+
+
+def test_direct_constant_budget_checked_first():
+    """A q-range beyond CELL_BUDGET is refused before anything is allocated."""
+    with pytest.raises(cd.EnumerationBudgetExceeded):
+        cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 10**12)
 
 
 def test_direct_constant_monotone_in_q_bound():
@@ -179,3 +236,11 @@ def test_flow_spec_validation():
         cd.FlowSpec(weights=W2, t_max=5.0, dt=0.0)
     with pytest.raises(cd.ValidationError):
         cd.dani_classify(PHI_M1, W2, 1.5)
+    # e^t of the grid must be finite, and the grid no longer than MAX_SAMPLES
+    with pytest.raises(cd.ValidationError):
+        cd.FlowSpec(weights=W2, t_max=800.0, dt=0.01)
+    with pytest.raises(cd.ValidationError):
+        cd.FlowSpec(weights=W2, t_max=20.0, dt=1e-4)
+    for A in (math.nan, math.inf):
+        with pytest.raises(cd.ValidationError):
+            cd.orbit_profile(A, W2, 5.0, 0.01)
