@@ -9,6 +9,7 @@ two runs of the same config produce byte-identical output.
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import subprocess
@@ -37,7 +38,9 @@ CONSTANT_DEFAULTS = {
 }
 
 
+@functools.cache
 def _version():
+    """Package version and `git describe`, computed once per process."""
     try:
         v = metadata.version("cuspdim")
     except metadata.PackageNotFoundError:

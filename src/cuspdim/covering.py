@@ -22,7 +22,12 @@ For m = n = 1 the per-box cusp function is evaluated by an exact
 integer-pair Gauss reduction: basis vectors of g_T u_h x0 are tracked
 as integer combinations of the original generators and re-expanded in
 extended precision each step, because a naive float reduction loses
-the short vector once e^{2T} exceeds 1/eps_machine.
+the short vector once e^{2T} exceeds 1/eps_machine.  The cover keeps
+the reduced integer basis of every kept box, and each child's
+reduction starts from its parent's (the child's h moves by less than
+the parent's side, so a few steps finish it); each pass of the
+reduction runs only on the rows not yet reduced.  Coefficients past the
+exact-int64 range raise CoefficientBudgetExceeded.
 """
 
 import math
@@ -33,9 +38,11 @@ from scipy.optimize import brentq
 
 from .errors import (
     BudgetExceeded,
+    CoefficientBudgetExceeded,
     DegenerateFit,
     DimensionMismatch,
     DomainError,
+    InvariantViolation,
     ValidationError,
 )
 from .flows import g_t, u_A
@@ -43,6 +50,7 @@ from .lattices import delta_weighted, make_lattice
 
 BOX_BUDGET = 10**7
 CF_BUDGET = 10**7
+KERNEL_BLOCK = 1 << 14  # rows per block of the d = 2 kernel (~4 MB of working arrays)
 R_CAP = 1.0
 _NEAR_INT_TOL = 1e-9
 
@@ -183,60 +191,84 @@ def _coeff_guard(*arrays):
     # int64 products in the reduction stay exact only below 2^31
     for a in arrays:
         if np.any(np.abs(a) > (1 << 31)):
-            raise RuntimeError("Gauss reduction coefficients exceeded the exact-int64 range")
+            raise CoefficientBudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
 
 
-def sup_delta_flow_batch(h, T, basis):
+def sup_delta_flow_batch(h, T, basis, coeffs=None):
     """Exact delta_sup(g_T u_h x0) for a batch of h, d = 2, equal weights.
 
     Integer coefficient pairs of both working basis vectors are carried
     through the Gauss reduction and re-expanded in extended precision
-    every step; with |coeffs| <= 2^31 the arithmetic is exact, and the
-    final sup minimizer over a reduced pair has coefficients in
-    {(1,0), (0,1), (1,1), (1,-1)} (a^2 - |ab| + b^2 <= 2).
+    every step; with |coeffs| <= 2^31 the arithmetic is exact (beyond it
+    CoefficientBudgetExceeded is raised), and the final sup minimizer
+    over a reduced pair has coefficients in {(1,0), (0,1), (1,1), (1,-1)}
+    (a^2 - |ab| + b^2 <= 2).
+
+    The reduction starts from the identity basis or, when `coeffs` is
+    given, from the unimodular integer rows (a1, b1, a2, b2) of that
+    (4, N) int64 array, which is overwritten with the reduced rows.  A
+    start that is already nearly reduced, such as a parent box's basis
+    at an earlier time, needs only a few steps.  Each pass runs only on
+    the rows still active: a row leaves once it has no swap and mu = 0.
+    Every reduced basis holds the same minimal vectors, so the values do
+    not depend on the start.  Rows go through in blocks of KERNEL_BLOCK,
+    which bounds the long-double working memory.
     """
     h = np.asarray(h, dtype=np.longdouble)
     N = h.shape[0]
-    if N == 0:
-        return np.empty(0)
+    if coeffs is None:
+        coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(N, axis=1)
     B = np.asarray(basis, dtype=np.longdouble)
     eT = np.exp(np.longdouble(T))
     emT = np.exp(-np.longdouble(T))
+    out = np.empty(N)
+    for lo in range(0, N, KERNEL_BLOCK):
+        rows = slice(lo, lo + KERNEL_BLOCK)
+        out[rows] = _reduce_block(h[rows], coeffs[:, rows], B, eT, emT)
+    return out
 
-    def vecs(a, b):
+
+def _reduce_block(h, coeffs, B, eT, emT):
+    """The sup-minimum for one block of rows, reducing `coeffs` in place."""
+
+    def vecs(a, b, h):
         v1 = B[0, 0] * a + B[0, 1] * b
         v2 = B[1, 0] * a + B[1, 1] * b
         return eT * (v1 + h * v2), emT * v2
 
-    a1 = np.ones(N, dtype=np.int64)
-    b1 = np.zeros(N, dtype=np.int64)
-    a2 = np.zeros(N, dtype=np.int64)
-    b2 = np.ones(N, dtype=np.int64)
+    def sup(x, y):
+        return np.maximum(np.abs(x), np.abs(y))
+
+    best = np.empty(len(h), dtype=np.longdouble)
+    rows, hr, C = np.arange(len(h)), h, coeffs
+    u0, u1 = vecs(C[0], C[1], hr)
+    n1 = u0 * u0 + u1 * u1
     for _ in range(96):
-        u0, u1 = vecs(a1, b1)
-        w0, w1 = vecs(a2, b2)
-        n1 = u0 * u0 + u1 * u1
+        w0, w1 = vecs(C[2], C[3], hr)
         n2 = w0 * w0 + w1 * w1
         swap = n2 < n1
-        if np.any(swap):
-            a1s, b1s = a1.copy(), b1.copy()
-            a1[swap], b1[swap] = a2[swap], b2[swap]
-            a2[swap], b2[swap] = a1s[swap], b1s[swap]
-            u0, u1, w0, w1 = np.where(swap, w0, u0), np.where(swap, w1, u1), np.where(swap, u0, w0), np.where(swap, u1, w1)
-            n1 = np.where(swap, n2, n1)
-        mu = np.rint((u0 * w0 + u1 * w1) / n1).astype(np.int64)
-        if not np.any(swap) and not np.any(mu):
-            break
-        _coeff_guard(mu, a1, b1)
-        a2 -= mu * a1
-        b2 -= mu * b1
-        _coeff_guard(a2, b2)
-    best = None
-    for ca, cb in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        v0, v1 = vecs(ca * a1 + cb * a2, ca * b1 + cb * b2)
-        s = np.maximum(np.abs(v0), np.abs(v1))
-        best = s if best is None else np.minimum(best, s)
-    return best.astype(np.float64)
+        # the shorter vector goes first (its expansion is carried to the next
+        # pass); the projection onto it is symmetric in the two vectors
+        mu = np.rint((u0 * w0 + u1 * w1) / np.minimum(n1, n2)).astype(np.int64)
+        C = np.where(swap, C[[2, 3, 0, 1]], C)
+        C[2:] -= mu * C[:2]
+        _coeff_guard(mu, C)
+        u0, u1, n1 = np.where(swap, w0, u0), np.where(swap, w1, u1), np.minimum(n1, n2)
+        done = ~swap & (mu == 0)
+        if done.any():
+            # a reduced row leaves, with the candidates (1,0) and (0,1) of its minimum
+            coeffs[:, rows[done]] = C[:, done]
+            best[rows[done]] = np.minimum(sup(u0[done], u1[done]), sup(w0[done], w1[done]))
+            keep = ~done
+            rows, hr, C, u0, u1, n1 = rows[keep], hr[keep], C[:, keep], u0[keep], u1[keep], n1[keep]
+            if rows.size == 0:
+                break
+    else:
+        raise InvariantViolation(f"Gauss reduction of {rows.size} rows did not converge in 96 passes")
+    a1, b1, a2, b2 = coeffs
+    for cb in (1, -1):
+        best = np.minimum(best, sup(*vecs(a1 + cb * a2, b1 + cb * b2, h)))
+    return best
 
 
 def default_safety(w, side):
@@ -250,9 +282,10 @@ def default_safety(w, side):
     return (1.0 + w.n * side / 2.0) ** p
 
 
-def _delta_at_centers(centers, T, x0, w):
-    if w.d == 2 and w.equal:
-        return sup_delta_flow_batch(centers[:, 0], T, x0.basis)
+def _delta_at_centers(centers, T, x0, w, coeffs):
+    """delta_w at the box centers; the d = 2 kernel starts from `coeffs` and updates them."""
+    if coeffs is not None:
+        return sup_delta_flow_batch(centers[:, 0], T, x0.basis, coeffs)
     G = g_t(w, T)
     out = np.empty(len(centers))
     for idx, hrow in enumerate(centers):
@@ -278,13 +311,16 @@ def survivor_cover(
     Level 0 is the single cube V_r = (0, side)^L.  Level k+1 refines
     every surviving box into its conjugated-tessellation sub-boxes and
     keeps a sub-box unless its center certifiably enters U at time
-    (k+1) t: survive iff delta_w(g_{(k+1)t} u_center x0) >= eps/safety.
+    (k+1) t: survive iff delta_w(g_{(k+1)t} u_center x0) >= eps/safety
+    (at d = 2, equal weights, each child's reduction starts from the
+    reduced integer basis of its parent).
     The safety factor covers the distance from the center to any point
     of the box after conjugation, so discarding is sound (conservative
     keep).  Children are placed on the refined grid from the parent's
     low corner, the last translate per axis snapped inward, so level
     k+1 boxes stay inside the closure of their parent while covering
-    it.  Hitting the total box budget truncates the run gracefully.
+    it (a check that raises InvariantViolation otherwise).  Hitting the
+    total box budget truncates the run gracefully.
     """
     if not 0 < c < 1:
         raise ValidationError("c", "must be in (0, 1)")
@@ -314,6 +350,9 @@ def survivor_cover(
     truncated = False
     m_axis = [_per_axis_count(math.exp(lam * t), tol) for lam in lams]
     n_children = int(np.prod(m_axis))
+    # d = 2, equal weights: reduced integer bases of the kept boxes, so that
+    # each child's reduction starts from its parent's (level 0: the identity)
+    coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 and w.equal else None
     for k in range(1, int(k_max) + 1):
         if len(lows) == 0:
             break
@@ -328,24 +367,27 @@ def survivor_cover(
             # snap the last translate inward: containment in the parent
             # closure and full coverage both hold
             off = np.minimum(off, parent_sides[ax] - child_sides[ax])
+            # nesting check: the furthest child edge stays within the parent
+            if not off[-1] + child_sides[ax] <= parent_sides[ax] * (1 + 1e-12):
+                raise InvariantViolation(f"level {k} children leave their parent box on axis {ax}")
             offsets.append(off)
         grids = np.meshgrid(*offsets, indexing="ij")
         off_grid = np.stack([g.reshape(-1) for g in grids], axis=1)
         child_lows = (lows[:, None, :] + off_grid[None, :, :]).reshape(-1, L)
         centers = child_lows + child_sides / 2.0
         total += len(centers)
-        dvals = _delta_at_centers(centers, k * t, x0, w)
+        child_coeffs = None if coeffs is None else np.repeat(coeffs, n_children, axis=1)
+        dvals = _delta_at_centers(centers, k * t, x0, w, child_coeffs)
         keep = dvals >= thresh
         lows = child_lows[keep]
+        if coeffs is not None:
+            coeffs = child_coeffs[:, keep]
         lvl = CoverLevel(
             k=k,
             centers=centers[keep],
             half_sides=child_sides / 2.0,
             count=int(np.count_nonzero(keep)),
         )
-        # nesting check: the furthest child edge stays within the parent
-        for ax in range(L):
-            assert offsets[ax][-1] + child_sides[ax] <= parent_sides[ax] * (1 + 1e-12)
         levels.append(lvl)
         if lvl.count == 0:
             break

@@ -46,6 +46,10 @@ class DomainError(CuspDimError):
     """Argument outside the mathematical domain of a formula."""
 
 
+class InvariantViolation(CuspDimError):
+    """An internal consistency check failed: a defect in the package, not in the input."""
+
+
 class DegenerateFit(CuspDimError):
     """Too few usable points for a regression."""
 
@@ -56,6 +60,10 @@ class BudgetExceeded(CuspDimError):
 
 class EnumerationBudgetExceeded(BudgetExceeded):
     """Lattice-point enumeration box exceeds the configured cell limit."""
+
+
+class CoefficientBudgetExceeded(BudgetExceeded):
+    """Exact integer reduction coefficients left the range where int64 stays exact."""
 
 
 class SamplerStall(BudgetExceeded):

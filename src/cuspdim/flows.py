@@ -175,6 +175,17 @@ def _weighted_norm(X, weights):
     return np.max(np.abs(X) ** e, axis=-1)
 
 
+def _q_grid_rows(lo, hi, q_bound, n):
+    """Rows lo..hi-1 of the row-major grid {-q_bound..q_bound}^n as floats, q = 0 left out."""
+    side = 2 * q_bound + 1
+    idx = np.arange(lo, hi)
+    idx = idx[idx != side**n // 2]  # the centre of the grid is q = 0
+    q = np.empty((len(idx), n))
+    for k in range(n - 1, -1, -1):
+        idx, q[:, k] = np.divmod(idx, side)
+    return q - q_bound
+
+
 def direct_bad_constant(A, w, q_bound):
     """Brute-force min over 1 <= ||q||_inf <= q_bound of ||Aq+p||_i ||q||_j.
 
@@ -182,7 +193,7 @@ def direct_bad_constant(A, w, q_bound):
     ||.||_i is a coordinatewise max of even increasing functions.
     Nonincreasing in q_bound by construction.  Raises
     EnumerationBudgetExceeded before allocating when the number of q
-    exceeds CELL_BUDGET.
+    exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
     """
     if q_bound < 1:
         raise ValidationError("q_bound", "must be >= 1")
@@ -198,11 +209,7 @@ def direct_bad_constant(A, w, q_bound):
             for lo in range(1, q_bound + 1, step)
         )
     else:
-        axes = [np.arange(-q_bound, q_bound + 1) for _ in range(w.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        q = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.float64)
-        q = q[np.max(np.abs(q), axis=1) >= 1]
-        chunks = (q[lo : lo + step] for lo in range(0, len(q), step))
+        chunks = (_q_grid_rows(lo, min(lo + step, cells + 1), q_bound, w.n) for lo in range(0, cells + 1, step))
     best = np.inf
     for qs in chunks:
         r = qs @ A.T

@@ -164,6 +164,17 @@ def test_cover_budget_exit_3(capsys):
     assert rep["results"]["truncated"] is True
 
 
+def test_cover_deep_cusp_exit_3(tmp_path, capsys):
+    """Reduction coefficients past the exact-int64 range end in exit 3, not a traceback."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"basis": [[math.exp(-12.0), 0.0], [0.0, math.exp(12.0)]]}))
+    code = cli.main(["cover", "--c", "0.1", "--r", "0.5", "--t", "1", "--k-max", "2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("budget exceeded:")
+    assert captured.out == ""
+
+
 def test_dim_synthetic_cantor(tmp_path, capsys):
     cfg = tmp_path / "cantor.json"
     cfg.write_text(

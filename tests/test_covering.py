@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspdim as cd
+from cuspdim import covering
 from cuspdim.covering import (
     _per_axis_count,
     default_safety,
@@ -74,8 +77,45 @@ def test_kernel_vs_enumeration():
 
 def test_kernel_coefficient_guard():
     # convergent denominators reach 2^31 once e^T does (T >= 22)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(cd.CoefficientBudgetExceeded):
         sup_delta_flow_batch(np.array([1.0 / math.pi]), 23.0, np.eye(2))
+
+
+_S = 3**-0.25 * math.sqrt(2.0)
+_SHEARED_HEX = np.array([[1.0, -0.0007], [0.0013, 1.0 - 0.0013 * 0.0007]]) @ np.array(
+    [[_S, _S / 2.0], [0.0, _S * math.sqrt(3.0) / 2.0]]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+    T=st.floats(0.0, 10.0),  # mu <= e^{2T}/2 stays below the 2^31 coefficient guard
+    t=st.floats(0.0, 3.0),
+    shift=st.floats(-1.0, 1.0),
+    hexagonal=st.booleans(),
+)
+def test_warm_start_matches_cold(hs, T, t, shift, hexagonal):
+    """A start reduced at T - t near h (a parent box) gives the cold values bit for bit."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    h = np.array(hs)
+    T0 = max(T - t, 0.0)
+    coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(len(h), axis=1)
+    sup_delta_flow_batch(h + shift * math.exp(-2.0 * T0), T0, basis, coeffs)
+    warm = sup_delta_flow_batch(h, T, basis, coeffs)
+    assert np.array_equal(warm, sup_delta_flow_batch(h, T, basis))
+    assert np.all(np.abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) == 1)  # unimodular
+
+
+def test_kernel_blocks_match_one_block(monkeypatch):
+    """Splitting the rows into blocks changes neither the values nor the reduced rows."""
+    h = np.random.default_rng(3).uniform(0.0, 0.125, 1000)
+    one = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(len(h), axis=1)
+    many = one.copy()
+    whole = sup_delta_flow_batch(h, 6.0, _SHEARED_HEX, one)
+    monkeypatch.setattr(covering, "KERNEL_BLOCK", 7)
+    assert np.array_equal(sup_delta_flow_batch(h, 6.0, _SHEARED_HEX, many), whole)
+    assert np.array_equal(many, one)
 
 
 def test_extinction_near_c1(cover_c025):

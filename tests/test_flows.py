@@ -1,6 +1,8 @@
 """Diagonal flows, orbit minima, and the badly-approximable classification."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +143,43 @@ def test_direct_constant_budget_checked_first():
     """A q-range beyond CELL_BUDGET is refused before anything is allocated."""
     with pytest.raises(cd.EnumerationBudgetExceeded):
         cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 10**12)
+
+
+def _scan_bad_constant(A, w, q_bound):
+    """min over every integer q != 0 with ||q||_inf <= q_bound, by itertools.product."""
+    best = math.inf
+    for q in itertools.product(range(-q_bound, q_bound + 1), repeat=w.n):
+        if not any(q):
+            continue
+        r = [sum(float(qk) * float(a) for qk, a in zip(q, row)) for row in A]
+        inorm = max(abs(x - round(x)) ** (1.0 / ik) for x, ik in zip(r, w.i))
+        jnorm = max(abs(float(qk)) ** (1.0 / jl) for qk, jl in zip(q, w.j))
+        best = min(best, inorm * jnorm)
+    return best
+
+
+@pytest.mark.parametrize("i, j", [((1.0,), (0.5, 0.5)), ((0.4, 0.6), (0.3, 0.7)), ((1.0,), (0.2, 0.3, 0.5))])
+def test_direct_constant_grid_matches_product_scan(i, j):
+    """The chunked n >= 2 q-grid equals a plain scan over every q."""
+    w = cd.WeightVector(i, j)
+    rng = np.random.default_rng(len(i) * 10 + len(j))
+    for q_bound in (1, 2, 4, 6):
+        A = rng.uniform(-1.0, 1.0, (w.m, w.n))
+        got = cd.direct_bad_constant(A, w, q_bound)
+        assert got == pytest.approx(_scan_bad_constant(A, w, q_bound), rel=1e-12)
+
+
+def test_direct_constant_grid_memory():
+    """4e6 values of q at n = 2 are built one chunk at a time, not as one ~218 MB grid."""
+    w = cd.WeightVector((1.0,), (0.5, 0.5))
+    A = np.array([[PHI_M1, SQRT2_M1]])
+    tracemalloc.start()
+    try:
+        cd.direct_bad_constant(A, w, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_direct_constant_monotone_in_q_bound():
