@@ -25,16 +25,12 @@ from .errors import (
     BudgetExceeded,
     CuspDimError,
     DegenerateFit,
+    EnumerationBudgetExceeded,
     ValidationError,
 )
 
 CONSTANT_DEFAULTS = {
-    "K0": 1.0,
-    "K1": 1.0,
-    "K2": 1.0,
     "K3": None,  # calibrated from the exact counts when not set
-    "C11": 2.0,
-    "lambda1": 1.0,
 }
 
 
@@ -163,6 +159,33 @@ def _window(args, config):
 # ---------------------------------------------------------------- commands
 
 
+def _brute_minima(basis, w):
+    """Euclid, sup and weighted minima over every |c_k| <= 50, origin excluded.
+
+    The oracle of `delta --brute`: one slab per value of c_0, and the
+    quasinorm written out here, so it shares no code with the enumerator
+    it checks.  Boxes over 10^9 cells (d = 5) are refused.
+    """
+    d = basis.shape[0]
+    bound, cap = 50, 10**9
+    if (2 * bound + 1) ** d > cap:
+        raise EnumerationBudgetExceeded(f"brute box has {(2 * bound + 1) ** d} cells, cap is {cap}")
+    axis = np.arange(-bound, bound + 1)
+    tail = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * (d - 1), indexing="ij")], axis=1)
+    # |v_k|^(1/(m i_k)) on the first m coordinates, |v_l|^(1/(n j_l)) on the rest
+    expo = np.array([1.0 / (w.m * ik) for ik in w.i] + [1.0 / (w.n * jl) for jl in w.j])
+    best = {"euclid": math.inf, "sup": math.inf, "weighted": math.inf}
+    for c0 in axis:
+        C = np.column_stack([np.full(len(tail), c0), tail])
+        if c0 == 0:
+            C = C[np.any(C != 0, axis=1)]
+        A = np.abs(C @ basis.T)
+        best["euclid"] = min(best["euclid"], float(np.sqrt(np.min(np.sum(A * A, axis=1)))))
+        best["sup"] = min(best["sup"], float(np.min(np.max(A, axis=1))))
+        best["weighted"] = min(best["weighted"], float(np.min(np.max(A**expo, axis=1))))
+    return best
+
+
 def cmd_delta(args, config, consts):
     w = _weights_from_config(config)
     lat = _basis_from_config(config, w.d)
@@ -178,12 +201,7 @@ def cmd_delta(args, config, consts):
         "min_vec_weighted": {"coeffs": list(sv_w.coeffs), "vec": sv_w.vec.tolist()},
     }
     if args.brute:
-        bounds = [50] * lat.dim
-        best = {"euclid": math.inf, "sup": math.inf, "weighted": math.inf}
-        for C, V in lattices._iter_coeff_box(lat.basis, bounds, 10**9):
-            best["euclid"] = min(best["euclid"], float(np.min(np.sqrt(np.sum(V * V, 1)))))
-            best["sup"] = min(best["sup"], float(np.min(np.max(np.abs(V), 1))))
-            best["weighted"] = min(best["weighted"], float(np.min(lattices._quasinorm_rows(V, w))))
+        best = _brute_minima(lat.basis, w)
         res["brute"] = best
         res["brute_agrees"] = {
             "euclid": abs(best["euclid"] - sv_e.length) <= 1e-12,

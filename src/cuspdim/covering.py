@@ -27,11 +27,15 @@ the reduced integer basis of every kept box, and each child's
 reduction starts from its parent's (the child's h moves by less than
 the parent's side, so a few steps finish it); each pass of the
 reduction runs only on the rows not yet reduced.  Coefficients past the
-exact-int64 range raise CoefficientBudgetExceeded.
+exact-int64 range raise CoefficientBudgetExceeded.  Other weights and
+dimensions evaluate delta_w(g_T u_h x0) by exact enumeration per box.
+The float reduction in `haar` stays separate: one integer-tracked
+reducer for both was either less accurate with float64 expansion or
+about twice as slow on Haar batches with long double.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -41,7 +45,6 @@ from .errors import (
     CoefficientBudgetExceeded,
     DegenerateFit,
     DimensionMismatch,
-    DomainError,
     InvariantViolation,
     ValidationError,
 )
@@ -62,7 +65,6 @@ class Tessellation:
     L: int
     r: float
     side: float
-    offset: float = 0.0
 
 
 def tessellation_new(L, r):
@@ -290,7 +292,7 @@ def _delta_at_centers(centers, T, x0, w, coeffs):
     out = np.empty(len(centers))
     for idx, hrow in enumerate(centers):
         U = u_A(hrow.reshape(w.m, w.n), w.m, w.n)
-        out[idx] = delta_weighted(make_lattice(G @ U), w)
+        out[idx] = delta_weighted(make_lattice(G @ U @ x0.basis), w)
     return out
 
 
@@ -398,34 +400,6 @@ def survivor_cover(
         safety=float(safety),
         total_boxes=total,
     )
-
-
-@dataclass(frozen=True)
-class CoveringBound:
-    value: float
-    base: float
-    clamped: bool
-
-
-def covering_bound(r, t, k, mu_sigma_r_U, consts):
-    """Evaluate K0 e^{L k lambda_max t} (1 - K1 mu + K2 e^{-lambda1 t}/r^L)^k."""
-    for key in ("K0", "K1", "K2", "lambda1", "lambda_max", "L"):
-        if key not in consts or consts[key] <= 0:
-            raise ValidationError(key, "must be present and positive")
-    base = 1.0 - consts["K1"] * mu_sigma_r_U + consts["K2"] * math.exp(
-        -consts["lambda1"] * t
-    ) / (r ** consts["L"])
-    clamped = base < 0
-    b = max(base, 0.0)
-    value = consts["K0"] * math.exp(consts["L"] * k * consts["lambda_max"] * t) * b**k
-    return CoveringBound(value=value, base=base, clamped=clamped)
-
-
-def dim_upper_formula(L, t, base):
-    """The covering-exponent form L + log(base)/t."""
-    if base <= 0:
-        raise DomainError("base must be positive")
-    return L + math.log(base) / t
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,6 @@ class UnsupportedDimension(ValidationError):
         super().__init__("dim", message)
 
 
-class DomainError(CuspDimError):
-    """Argument outside the mathematical domain of a formula."""
-
-
 class InvariantViolation(CuspDimError):
     """An internal consistency check failed: a defect in the package, not in the input."""
 

@@ -8,8 +8,10 @@ by a basis matrix whose columns generate it.  The cusp functions
 
 are computed by exhaustive enumeration over a coefficient box that
 provably contains every minimizer, so the values are exact up to float
-roundoff.  d <= 5 keeps the boxes tractable; there is no approximate
-(LLL/BKZ) path.
+roundoff.  Both minimizers run the same enumeration loop and differ
+only in their search box and their norm; `quasinorm` is the one-row
+case of the row-wise quasinorm the loop uses.  d <= 5 keeps the boxes
+tractable; there is no approximate (LLL/BKZ) path.
 """
 
 from dataclasses import dataclass
@@ -179,6 +181,23 @@ def _pick_min(C, lengths):
     return chosen, best
 
 
+def _enumerate_min(B, bounds, budget, lengths_of):
+    """Minimizer over the coefficient box: each slab is cut at the running minimum."""
+    best_len = np.inf
+    keep_C = []
+    keep_lengths = []
+    for C, V in _iter_coeff_box(B, bounds, budget):
+        lengths = lengths_of(V)
+        cut = min(best_len, float(np.min(lengths)))
+        m = lengths <= cut + _TIE_TOL * max(1.0, cut)
+        keep_C.append(C[m])
+        keep_lengths.append(lengths[m])
+        best_len = cut
+    coeffs, length = _pick_min(np.concatenate(keep_C), np.concatenate(keep_lengths))
+    vec = B @ np.asarray(coeffs, dtype=float)
+    return ShortVec(coeffs=coeffs, vec=vec, length=length)
+
+
 def shortest_vector(lat, norm="euclid", budget=CELL_BUDGET):
     """Exact shortest nonzero vector of the lattice in the given norm.
 
@@ -195,22 +214,7 @@ def shortest_vector(lat, norm="euclid", budget=CELL_BUDGET):
         row = np.sum(np.abs(Binv), axis=1)
     bounds = np.floor(row * incumbent + 1e-9).astype(int)
     bounds = np.maximum(bounds, 1)
-    best_len = np.inf
-    best_C = None
-    best_lengths = []
-    keep_C = []
-    for C, V in _iter_coeff_box(B, bounds, budget):
-        lengths = _vec_norm(V, norm)
-        cut = min(best_len, float(np.min(lengths)))
-        m = lengths <= cut + _TIE_TOL * max(1.0, cut)
-        keep_C.append(C[m])
-        best_lengths.append(lengths[m])
-        best_len = cut
-    C = np.concatenate(keep_C)
-    lengths = np.concatenate(best_lengths)
-    coeffs, length = _pick_min(C, lengths)
-    vec = B @ np.asarray(coeffs, dtype=float)
-    return ShortVec(coeffs=coeffs, vec=vec, length=length)
+    return _enumerate_min(B, bounds, budget, lambda V: _vec_norm(V, norm))
 
 
 def delta(lat, norm="sup", budget=CELL_BUDGET):
@@ -227,11 +231,7 @@ def quasinorm(v, w):
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != w.d:
         raise DimensionMismatch(f"vector length {v.shape[-1]} != weight dimension {w.d}")
-    p = np.abs(v[..., : w.m])
-    q = np.abs(v[..., w.m :])
-    ei = np.array([1.0 / (w.m * ik) for ik in w.i])
-    ej = np.array([1.0 / (w.n * jl) for jl in w.j])
-    return float(np.max(np.concatenate([p**ei, q**ej], axis=-1), axis=-1))
+    return float(_quasinorm_rows(v.reshape(1, -1), w)[0])
 
 
 def _quasinorm_rows(V, w):
@@ -262,34 +262,10 @@ def shortest_vector_weighted(lat, w, budget=CELL_BUDGET):
     )
     bounds = np.floor(np.abs(Binv) @ amb + 1e-9).astype(int)
     bounds = np.maximum(bounds, 1)
-    best_len = np.inf
-    keep_C = []
-    best_lengths = []
-    for C, V in _iter_coeff_box(B, bounds, budget):
-        lengths = _quasinorm_rows(V, w)
-        cut = min(best_len, float(np.min(lengths)))
-        m = lengths <= cut + _TIE_TOL * max(1.0, cut)
-        keep_C.append(C[m])
-        best_lengths.append(lengths[m])
-        best_len = cut
-    C = np.concatenate(keep_C)
-    lengths = np.concatenate(best_lengths)
-    coeffs, length = _pick_min(C, lengths)
-    vec = B @ np.asarray(coeffs, dtype=float)
-    return ShortVec(coeffs=coeffs, vec=vec, length=length)
+    return _enumerate_min(B, bounds, budget, lambda V: _quasinorm_rows(V, w))
 
 
 def delta_weighted(lat, w, budget=CELL_BUDGET):
     """Weighted cusp function delta_{i,j}: inf of the quasinorm over the lattice."""
     return shortest_vector_weighted(lat, w, budget).length
 
-
-def injectivity_shape(delta_val, d):
-    """Monomial shapes (delta^d, delta^(d/(d-1))) bracketing the injectivity radius.
-
-    The absolute constants in front are not pinned down; only the
-    exponents are meaningful.
-    """
-    if delta_val <= 0:
-        raise ValidationError("delta_val", "must be positive")
-    return (delta_val**d, delta_val ** (d / (d - 1)))

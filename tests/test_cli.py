@@ -29,7 +29,7 @@ def test_delta_report(capsys):
     assert code == 0
     assert rep["results"]["delta_euclid"] == 1.0
     assert rep["results"]["min_vec_euclid"]["coeffs"] == [1, 0]
-    assert rep["constants"]["C11"] == 2.0
+    assert rep["constants"] == {"K3": None}
 
 
 def test_delta_brute_mode(capsys):
@@ -234,10 +234,10 @@ def test_reproducibility_byte_identical(tmp_path):
 
 def test_config_file_merge_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"A": 0.5, "c": 0.1, "constants": {"C11": 3.0}}))
+    cfg.write_text(json.dumps({"A": 0.5, "c": 0.1, "constants": {"K3": 0.8}}))
     code, rep = run_json(capsys, "bad", "--config", str(cfg))
     assert code == 0 and rep["results"]["classification"] == "NotBad"
-    assert rep["constants"]["C11"] == 3.0
+    assert rep["constants"]["K3"] == 0.8
     # CLI flag beats the config value
     code, rep = run_json(capsys, "bad", "--config", str(cfg), "--A", "0.6180339887498949", "--c", "0.3")
     assert rep["results"]["classification"] == "Bad"

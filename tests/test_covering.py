@@ -65,14 +65,16 @@ def test_lemma_bound_dominates_sweep():
 
 
 def test_kernel_vs_enumeration():
-    """Coefficient-tracked flow kernel equals the generic enumeration path."""
+    """Coefficient-tracked flow kernel equals the generic enumeration path on g_T u_h x0."""
     rng = np.random.default_rng(7)
     hs = rng.uniform(0.0, 0.125, 100)
-    for T in (2.0, 5.0, 8.0):
-        kd = sup_delta_flow_batch(hs, T, np.eye(2))
-        for h, dk in zip(hs, kd):
-            lat = cd.make_lattice(cd.g_t(W2, T) @ cd.u_A(float(h)))
-            assert abs(cd.delta_weighted(lat, W2) - dk) <= 1e-9
+    # on the sheared hexagonal basis the raw-basis enumerator takes ~4 s per call at T = 8
+    for basis, Ts in ((np.eye(2), (2.0, 5.0, 8.0)), (_SHEARED_HEX, (2.0, 5.0))):
+        for T in Ts:
+            kd = sup_delta_flow_batch(hs, T, basis)
+            for h, dk in zip(hs, kd):
+                lat = cd.make_lattice(cd.g_t(W2, T) @ cd.u_A(float(h)) @ basis)
+                assert abs(cd.delta_weighted(lat, W2) - dk) <= 1e-9
 
 
 def test_kernel_coefficient_guard():
@@ -230,30 +232,18 @@ def test_survivor_validation():
         cd.survivor_cover(x0, W2, 0.25, 0.5, 2.0, 0)
 
 
+def test_general_weights_cover_uses_x0():
+    """The general-weights cover evaluates g_T u_h x0, not g_T u_h Z^d."""
+    counts = {}
+    for name, basis in (("Z3", np.eye(3)), ("diag", np.diag([math.exp(-2.0), 1.0, math.exp(2.0)]))):
+        cov = cd.survivor_cover(cd.make_lattice(basis), W3, 0.1, 0.5, 1.0, 1)
+        counts[name] = [lv.count for lv in cov]
+    assert counts == {"Z3": [1, 24], "diag": [1, 0]}
+
+
 def test_default_safety_m1n1():
     # (1 + n*side/2)^pmax = 1 + side/2 at m = n = 1
     assert abs(default_safety(W2, 0.125) - 1.0625) <= 1e-15
-
-
-def test_covering_bound_formula():
-    consts = {"K0": 1.0, "K1": 1.0, "K2": 1e-300, "lambda1": 1.0, "lambda_max": 1.0, "L": 1}
-    b = cd.covering_bound(1.0, 2.0, 3, 0.0, consts)
-    assert abs(b.value - math.exp(6.0)) <= 1e-9
-    b = cd.covering_bound(1.0, 2.0, 10, 0.1, consts)
-    assert abs(b.value - math.exp(20.0) * 0.9**10) <= 1e-6 * b.value
-    consts_neg = {**consts, "K1": 2.0, "K2": 1e-300}
-    b = cd.covering_bound(1.0, 2.0, 2, 0.9, consts_neg)
-    assert b.clamped and b.value == 0.0
-    with pytest.raises(cd.ValidationError):
-        cd.covering_bound(1.0, 2.0, 2, 0.1, {**consts, "K0": -1.0})
-
-
-def test_dim_upper_formula():
-    assert cd.dim_upper_formula(1, 2.0, 1.0) == 1.0
-    assert abs(cd.dim_upper_formula(1, 2.0, math.exp(-2.0)) - 0.0) <= 1e-15
-    assert abs(cd.dim_upper_formula(1, 2.0, 0.5) - (1.0 + math.log(0.5) / 2.0)) <= 1e-15
-    with pytest.raises(cd.DomainError):
-        cd.dim_upper_formula(1, 2.0, 0.0)
 
 
 def test_cantor_fit_exact():

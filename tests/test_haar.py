@@ -7,7 +7,7 @@ import pytest
 
 import cuspdim as cd
 from cuspdim import rng as rngmod
-from cuspdim.haar import delta2_batch, sample_batch
+from cuspdim.haar import _bases, delta2_batch, sample_batch
 
 W2 = cd.EQUAL_WEIGHTS_2D
 MINKOWSKI = 2.0 / math.sqrt(math.pi)
@@ -19,13 +19,7 @@ def test_sample_domain_invariants():
     assert np.all(np.abs(x) <= 0.5)
     assert np.all(x * x + y * y >= 1.0)
     assert np.all((0.0 <= theta) & (theta < math.pi))
-
-
-def test_single_sample_and_lattice():
-    s = cd.sample_sl2_haar(rngmod.stream(1, 9))
-    assert abs(s.x) <= 0.5 and s.x**2 + s.y**2 >= 1.0
-    lat = s.lattice
-    assert abs(np.linalg.det(lat.basis) - 1.0) <= 1e-9
+    assert np.all(np.abs(np.linalg.det(_bases(x, y, theta)) - 1.0) <= 1e-9)
 
 
 def test_tail_matches_analytic():
@@ -54,8 +48,6 @@ def test_delta2_batch_vs_enumeration():
     """Reduction-based shortest length equals brute enumeration, both norms."""
     rng = rngmod.stream(2, 9)
     x, y, theta, _ = sample_batch(rng, 300)
-    from cuspdim.haar import _bases
-
     B = _bases(x, y, theta)
     for norm in ("euclid", "sup"):
         got = delta2_batch(B, norm)

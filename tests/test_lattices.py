@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cuspdim as cd
+from cuspdim.haar import delta2_batch
 
 W2 = cd.EQUAL_WEIGHTS_2D
 
@@ -82,16 +83,23 @@ def test_json_roundtrip():
 
 
 def test_oracle_equivalence_100_bases():
-    """shortest_vector length == exhaustive |c| <= 50 search, 2x2 and 3x3."""
+    """shortest_vector length == exhaustive |c| <= 50 search, 2x2 and 3x3.
+
+    At d = 2 the float Gauss reduction `delta2_batch` is checked too, on
+    bases that need its swap and mu steps.
+    """
     rng = np.random.default_rng(42)
     for d, count, bound in ((2, 60, 50), (3, 40, 12)):
         for _ in range(count):
             B = random_unimodular(rng, d)
             lat = cd.make_lattice(B)
             for norm in ("euclid", "sup"):
-                got = cd.shortest_vector(lat, norm).length
                 want = brute_min(B, norm, bound)
-                assert abs(got - want) <= 1e-12, (d, norm, got, want)
+                got = [cd.shortest_vector(lat, norm).length]
+                if d == 2:
+                    got.append(float(delta2_batch(B[None], norm)[0]))
+                for g in got:
+                    assert abs(g - want) <= 1e-12, (d, norm, g, want)
 
 
 def test_weighted_oracle_equivalence():
@@ -185,15 +193,6 @@ def test_equal_weights_quasinorm_is_sup():
     for _ in range(50):
         v = rng.normal(0, 2, 2)
         assert abs(cd.quasinorm(v, W2) - np.max(np.abs(v))) <= 1e-12
-
-
-def test_injectivity_shape():
-    lo, hi = cd.injectivity_shape(0.5, 2)
-    assert abs(lo - 0.25) <= 1e-15
-    assert abs(hi - 0.25) <= 1e-15  # d/(d-1) = 2 at d = 2
-    lo3, hi3 = cd.injectivity_shape(0.5, 3)
-    assert abs(lo3 - 0.5**3) <= 1e-15
-    assert abs(hi3 - 0.5**1.5) <= 1e-15
 
 
 def test_enumeration_budget():
