@@ -128,6 +128,18 @@ def _basis_from_config(config, d):
     return lattices.make_lattice(arr)
 
 
+def _matrix_A(args, config, w):
+    """A as a w.m x w.n array: --A is a scalar (1 x 1); the config gives a number or a nested list."""
+    A = _resolve(args, config, "A", None, lambda raw: np.array(raw, dtype=float))
+    if A is None:
+        raise ValidationError("A", "required")
+    if A.ndim == 0:
+        A = A.reshape(1, 1)
+    if A.shape != (w.m, w.n):
+        raise ValidationError("A", f"expected a {w.m} x {w.n} nested list, got shape {A.shape}")
+    return A
+
+
 def _constants(config):
     block = dict(CONSTANT_DEFAULTS)
     for k, v in config.get("constants", {}).items():
@@ -218,9 +230,7 @@ def cmd_delta(args, config, consts):
 
 def cmd_bad(args, config, consts):
     w = _weights_from_config(config)
-    A = _resolve(args, config, "A", None, float)
-    if A is None:
-        raise ValidationError("A", "required")
+    A = _matrix_A(args, config, w)
     c = _resolve(args, config, "c", None, float, lambda v: None if 0 < v < 1 else "must be in (0, 1)")
     if c is None:
         raise ValidationError("c", "required")
@@ -257,9 +267,7 @@ def cmd_bad(args, config, consts):
 
 def cmd_orbit(args, config, consts):
     w = _weights_from_config(config)
-    A = _resolve(args, config, "A", None, float)
-    if A is None:
-        raise ValidationError("A", "required")
+    A = _matrix_A(args, config, w)
     t_max, dt = _window(args, config)
     profile = flows.orbit_profile(A, w, t_max, dt)
     res = {

@@ -8,10 +8,14 @@ by a basis matrix whose columns generate it.  The cusp functions
 
 are computed by exhaustive enumeration over a coefficient box that
 provably contains every minimizer, so the values are exact up to float
-roundoff.  Both minimizers run the same enumeration loop and differ
+roundoff.  The box bound holds for any basis of the lattice, so the
+basis is first LLL-reduced (Lenstra-Lenstra-Lovasz 1982): reduction
+changes the size of the box, and so the cost, but not the answer.
+Along a diagonal flow the raw box grows like e^{2T}; the reduced one
+stays small.  Both minimizers run the same enumeration loop and differ
 only in their search box and their norm; `quasinorm` is the one-row
 case of the row-wise quasinorm the loop uses.  d <= 5 keeps the boxes
-tractable; there is no approximate (LLL/BKZ) path.
+tractable.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CoefficientBudgetExceeded,
     DeterminantError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
@@ -34,6 +39,14 @@ CELL_BUDGET = 10**8
 # when compared from the last coordinate backwards, so that on Z^2 the
 # generator (1,0) wins against (0,1).
 _TIE_TOL = 1e-12
+# Lovasz constant of the basis reduction
+_LLL_DELTA = 0.99
+# candidates whose reduced-basis length is within this relative gap of
+# the running minimum are re-evaluated on the raw basis, so that roundoff
+# between the two bases cannot drop a tie
+_PRECUT = 1e-6
+# integer coefficients stay exact as float64 below 2^53
+_EXACT_INT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -181,19 +194,61 @@ def _pick_min(C, lengths):
     return chosen, best
 
 
-def _enumerate_min(B, bounds, budget, lengths_of):
-    """Minimizer over the coefficient box: each slab is cut at the running minimum."""
+def _gram_schmidt(Br):
+    """mu[k, j] = <b_k, b*_j> / |b*_j|^2 and |b*_j|^2 for the columns of Br."""
+    r = np.linalg.qr(Br, mode="r")
+    diag = np.diag(r)
+    return (r / diag[:, None]).T, diag * diag
+
+
+def _lll_reduce(B):
+    """LLL-reduce the columns of B: (B @ M, M) with M unimodular int64.
+
+    Textbook LLL at delta = 0.99 with float Gram-Schmidt, recomputed
+    after every size-reduction or swap step (d <= 5).  Only M is
+    updated; the reduced basis is recomputed from it as B @ M, so it
+    carries no accumulated roundoff.
+    """
+    d = B.shape[1]
+    M = np.eye(d, dtype=np.int64)
+    Br = B
+    k = 1
+    while k < d:
+        mu, bb = _gram_schmidt(Br)
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k, j])
+            if r:
+                M[:, k] -= r * M[:, j]
+                Br = B @ M
+                mu, bb = _gram_schmidt(Br)
+        if bb[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * bb[k - 1]:
+            k += 1
+        else:
+            M[:, [k - 1, k]] = M[:, [k, k - 1]]
+            Br = B @ M
+            k = max(k - 1, 1)
+    return Br, M
+
+
+def _enumerate_min(B, Br, M, bounds, budget, lengths_of):
+    """Minimizer over the reduced-coefficient box, reported on the raw basis.
+
+    Each slab of the box over the reduced basis Br = B M is cut loosely
+    (`_PRECUT`) at the running minimum.  The survivors are mapped to raw
+    coefficients C M^T and their lengths are evaluated again on B, so
+    the pick, its tie-break, `vec` and `length` are those of the raw basis.
+    Raw coefficients must stay below 2^53, where floats hold them exactly.
+    """
+    if float(np.max(np.abs(M) @ np.asarray(bounds, dtype=float))) >= _EXACT_INT:
+        raise CoefficientBudgetExceeded("raw coefficients of the search box exceed 2^53")
     best_len = np.inf
     keep_C = []
-    keep_lengths = []
-    for C, V in _iter_coeff_box(B, bounds, budget):
+    for C, V in _iter_coeff_box(Br, bounds, budget):
         lengths = lengths_of(V)
-        cut = min(best_len, float(np.min(lengths)))
-        m = lengths <= cut + _TIE_TOL * max(1.0, cut)
-        keep_C.append(C[m])
-        keep_lengths.append(lengths[m])
-        best_len = cut
-    coeffs, length = _pick_min(np.concatenate(keep_C), np.concatenate(keep_lengths))
+        best_len = min(best_len, float(np.min(lengths)))
+        keep_C.append(C[lengths <= best_len * (1.0 + _PRECUT)])
+    C = np.concatenate(keep_C) @ M.T
+    coeffs, length = _pick_min(C, lengths_of(C.astype(float) @ B.T))
     vec = B @ np.asarray(coeffs, dtype=float)
     return ShortVec(coeffs=coeffs, vec=vec, length=length)
 
@@ -201,20 +256,22 @@ def _enumerate_min(B, bounds, budget, lengths_of):
 def shortest_vector(lat, norm="euclid", budget=CELL_BUDGET):
     """Exact shortest nonzero vector of the lattice in the given norm.
 
-    The search box comes from an incumbent: the shortest basis column
-    has norm R, any minimizer v satisfies |c_k| = |(B^-1 v)_k| <=
-    row_k(B^-1) applied to the norm-R ball.
+    The search box comes from an incumbent on the LLL-reduced basis
+    Br = B M: its shortest column has norm R, and any minimizer v
+    satisfies |c_k| = |(Br^-1 v)_k| <= row_k(Br^-1) applied to the
+    norm-R ball.  The coefficients reported are those on B.
     """
     B = lat.basis
-    Binv = np.linalg.inv(B)
-    incumbent = float(np.min(_vec_norm(B.T, norm)))
+    Br, M = _lll_reduce(B)
+    Brinv = np.linalg.inv(Br)
+    incumbent = float(np.min(_vec_norm(Br.T, norm)))
     if norm == "euclid":
-        row = np.sqrt(np.sum(Binv * Binv, axis=1))
+        row = np.sqrt(np.sum(Brinv * Brinv, axis=1))
     else:
-        row = np.sum(np.abs(Binv), axis=1)
+        row = np.sum(np.abs(Brinv), axis=1)
     bounds = np.floor(row * incumbent + 1e-9).astype(int)
     bounds = np.maximum(bounds, 1)
-    return _enumerate_min(B, bounds, budget, lambda V: _vec_norm(V, norm))
+    return _enumerate_min(B, Br, M, bounds, budget, lambda V: _vec_norm(V, norm))
 
 
 def delta(lat, norm="sup", budget=CELL_BUDGET):
@@ -248,21 +305,23 @@ def shortest_vector_weighted(lat, w, budget=CELL_BUDGET):
     Every unimodular lattice has a nonzero vector of quasinorm <= 1
     (the quasinorm ball of radius b is a box of volume (2b)^d, so
     Minkowski applies at b = 1); the incumbent is therefore capped at
-    1 and sharpened by the basis columns.  A candidate of quasinorm
-    <= b lies in the box |v_k| <= b^(m i_k), |v_{m+l}| <= b^(n j_l).
+    1 and sharpened by the columns of the LLL-reduced basis.  A
+    candidate of quasinorm <= b lies in the box |v_k| <= b^(m i_k),
+    |v_{m+l}| <= b^(n j_l).
     """
     if lat.dim != w.d:
         raise DimensionMismatch(f"lattice dim {lat.dim} != weight dimension {w.d}")
     B = lat.basis
-    Binv = np.linalg.inv(B)
-    col_q = _quasinorm_rows(B.T, w)
+    Br, M = _lll_reduce(B)
+    Brinv = np.linalg.inv(Br)
+    col_q = _quasinorm_rows(Br.T, w)
     b = min(1.0, float(np.min(col_q))) + 1e-9
     amb = np.array(
         [b ** (w.m * ik) for ik in w.i] + [b ** (w.n * jl) for jl in w.j]
     )
-    bounds = np.floor(np.abs(Binv) @ amb + 1e-9).astype(int)
+    bounds = np.floor(np.abs(Brinv) @ amb + 1e-9).astype(int)
     bounds = np.maximum(bounds, 1)
-    return _enumerate_min(B, bounds, budget, lambda V: _quasinorm_rows(V, w))
+    return _enumerate_min(B, Br, M, bounds, budget, lambda V: _quasinorm_rows(V, w))
 
 
 def delta_weighted(lat, w, budget=CELL_BUDGET):

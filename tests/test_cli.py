@@ -4,8 +4,10 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
+import cuspdim as cd
 from cuspdim import cli
 
 SCHEMA = json.load(open("docs/report.schema.json"))
@@ -108,6 +110,41 @@ def test_orbit_reaches_t30(capsys):
     deltas = [d for _, d in rep["results"]["samples"]]
     assert len(deltas) == 3001
     assert all(0.0 < d <= 1.0 for d in deltas)
+
+
+_WEIGHTED = {"weights": {"i": [1.0], "j": [0.3, 0.7]}, "A": [[0.41, 0.77]]}
+
+
+def test_weighted_orbit_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_WEIGHTED, "t-max": 9.0, "dt": 0.5}))
+    code, rep = run_json(capsys, "orbit", "--config", str(cfg))
+    assert code == 0
+    prof = cd.orbit_profile(np.array([[0.41, 0.77]]), cd.WeightVector((1.0,), (0.3, 0.7)), 9.0, 0.5)
+    assert rep["results"]["samples"] == [[float(f"{t:.12g}"), float(f"{d:.12g}")] for t, d in prof.samples]
+    assert rep["results"]["min_delta"] == float(f"{prof.min_delta:.12g}")
+
+
+@pytest.mark.parametrize("A", [[0.41, 0.77], [[0.41], [0.77]], 0.5, [[0.41, 0.77, 0.1]], [[0.41, "x"]]])
+@pytest.mark.parametrize("command", ["bad", "orbit"])
+def test_weighted_A_shape_checked(tmp_path, capsys, command, A):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_WEIGHTED, "A": A, "c": 0.05, "t-max": 2.0}))
+    code = cli.main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: A:")
+
+
+def test_weighted_bad_matches_direct_constant(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    A = [[math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]]
+    cfg.write_text(json.dumps({**_WEIGHTED, "A": A, "c": 0.05, "t-max": 6.0, "q-bound": 60}))
+    code, rep = run_json(capsys, "bad", "--config", str(cfg))
+    assert code == 0 and rep["results"]["agree"] is True
+    want = cd.direct_bad_constant(np.array(A), cd.WeightVector((1.0,), (0.3, 0.7)), 60)
+    assert want > 0.0
+    assert rep["results"]["c_direct"] == float(f"{want:.12g}")
 
 
 def test_orbit_csv_header(capsys):

@@ -68,8 +68,7 @@ def test_kernel_vs_enumeration():
     """Coefficient-tracked flow kernel equals the generic enumeration path on g_T u_h x0."""
     rng = np.random.default_rng(7)
     hs = rng.uniform(0.0, 0.125, 100)
-    # on the sheared hexagonal basis the raw-basis enumerator takes ~4 s per call at T = 8
-    for basis, Ts in ((np.eye(2), (2.0, 5.0, 8.0)), (_SHEARED_HEX, (2.0, 5.0))):
+    for basis, Ts in ((np.eye(2), (2.0, 5.0, 8.0)), (_SHEARED_HEX, (2.0, 5.0, 8.0))):
         for T in Ts:
             kd = sup_delta_flow_batch(hs, T, basis)
             for h, dk in zip(hs, kd):

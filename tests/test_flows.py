@@ -125,6 +125,42 @@ def test_fastpath_matches_general_path():
             assert abs(cd.delta_weighted(lat, W2) - dlt) <= 1e-10
 
 
+W_BK = cd.WeightVector((1.0,), (0.3, 0.7))
+
+
+def _flow_quasinorm_min(A, T, qmax):
+    """min quasinorm over g_T u_A Z^3, weights (1; 0.3, 0.7), for |q_l| <= qmax[l].
+
+    Only vectors of quasinorm <= 1 matter, so |p + A q| <= e^{-T} < 1/2
+    (T >= 1) and p is one of the three integers nearest -A q.
+    """
+    B = cd.g_t(W_BK, T) @ cd.u_A(A)
+    Q = np.stack([g.ravel() for g in np.meshgrid(*[np.arange(-b, b + 1) for b in qmax], indexing="ij")], axis=1)
+    P = (np.round(-(Q @ A[0])).astype(int)[:, None] + np.arange(-1, 2)[None, :]).reshape(-1)
+    C = np.column_stack([P, np.repeat(Q, 3, axis=0)])
+    V = np.abs(C[np.any(C != 0, axis=1)] @ B.T)
+    return float(np.min(np.max([V[:, 0], V[:, 1] ** (1 / 0.6), V[:, 2] ** (1 / 1.4)], axis=0)))
+
+
+def test_weighted_orbit_reaches_t15():
+    """A (1; 0.3, 0.7) orbit runs to t_max = 15; samples equal a brute-force minimum.
+
+    The raw-basis coefficient box at T = 15 has ~7e11 cells, far past the
+    cell budget; the reduced basis keeps it small.
+    """
+    A = np.array([[0.41, 0.77]])
+    prof = cd.orbit_profile(A, W_BK, 15.0, 0.5)
+    assert len(prof.ts) == 31
+    for T in (6.0, 9.0, 15.0):
+        got = float(prof.deltas[np.flatnonzero(prof.ts == T)[0]])
+        # a small q box gives an upper bound b on the minimum; every vector
+        # of quasinorm <= b has |q_l| <= b^(2 j_l) e^(j_l T)
+        b = _flow_quasinorm_min(A, T, (20, 20))
+        qmax = [math.ceil(b ** (2 * j) * math.exp(j * T)) for j in W_BK.j]
+        want = _flow_quasinorm_min(A, T, qmax)
+        assert abs(got - want) <= 1e-12, (T, got, want)
+
+
 def test_direct_constant_golden_ratio():
     """Exact infimum for phi-1 is (3 - sqrt 5)/2, attained at q = 1."""
     want = (3.0 - math.sqrt(5.0)) / 2.0

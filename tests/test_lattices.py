@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import cuspdim as cd
 from cuspdim.haar import delta2_batch
+from cuspdim.lattices import _lll_reduce
 
 W2 = cd.EQUAL_WEIGHTS_2D
+# weights per dimension for the weighted minimum
+WEIGHTS = {2: W2, 3: cd.WeightVector((1.0,), (0.3, 0.7)), 4: cd.WeightVector((0.5, 0.5), (0.4, 0.6))}
 
 
 def random_unimodular(rng, d, lo=-3.0, hi=3.0):
@@ -33,6 +38,47 @@ def brute_min(B, norm, bound=50):
     if norm == "euclid":
         return float(np.min(np.sqrt(np.sum(V * V, axis=1))))
     return float(np.min(np.max(np.abs(V), axis=1)))
+
+
+def brute_minima(V, w):
+    """Euclid, sup and weighted minima over the rows V, quasinorm written out here."""
+    A = np.abs(V)
+    # |v_k|^(1/(m i_k)) on the first m coordinates, |v_l|^(1/(n j_l)) on the rest
+    expo = np.array([1.0 / (w.m * ik) for ik in w.i] + [1.0 / (w.n * jl) for jl in w.j])
+    return (
+        float(np.sqrt(np.min(np.sum(A * A, axis=1)))),
+        float(np.min(np.max(A, axis=1))),
+        float(np.min(np.max(A**expo, axis=1))),
+    )
+
+
+def flow_coeffs(A, T, w):
+    """Coefficients (p, q) of every vector of g_T u_A Z^d (m = 1) of euclid norm <= sqrt(d).
+
+    Such a vector (e^T (p + A q), e^{-j_l T} q_l) has |q_l| <= sqrt(d) e^{j_l T}
+    and |p + A q| <= sqrt(d) e^{-T} < 5/2, so the q box is a full meshgrid
+    and p runs over the seven integers nearest to -A q.  Every sup and
+    weighted minimizer lies there too (Minkowski: both minima are <= 1).
+    """
+    A = np.asarray(A, dtype=float).reshape(-1)
+    axes = [np.arange(-b, b + 1) for b in np.ceil(math.sqrt(w.d) * np.exp(np.array(w.j) * T)).astype(int)]
+    Q = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    P = (np.round(-(Q @ A)).astype(int)[:, None] + np.arange(-3, 4)[None, :]).reshape(-1)
+    C = np.column_stack([P, np.repeat(Q, 7, axis=0)])
+    return C[np.any(C != 0, axis=1)]
+
+
+def gram_schmidt(B):
+    """mu and squared norms of the Gram-Schmidt vectors of B's columns, by the textbook loop."""
+    d = B.shape[1]
+    star = np.zeros_like(B)
+    mu = np.eye(d)
+    for k in range(d):
+        star[:, k] = B[:, k]
+        for j in range(k):
+            mu[k, j] = B[:, k] @ star[:, j] / (star[:, j] @ star[:, j])
+            star[:, k] -= mu[k, j] * star[:, j]
+    return mu, np.sum(star * star, axis=0)
 
 
 def test_z2_examples():
@@ -195,7 +241,88 @@ def test_equal_weights_quasinorm_is_sup():
         assert abs(cd.quasinorm(v, W2) - np.max(np.abs(v))) <= 1e-12
 
 
+def test_inexact_raw_coefficients_refused():
+    """Deep in the cusp the raw coefficients of the reduced box pass 2^53: a typed error, not a guess."""
+    w = cd.WeightVector((1.0,), (0.5, 0.5))
+    lat = cd.make_lattice(cd.g_t(w, 22.25) @ cd.u_A(np.array([[0.9833694366677761, 0.8383799784757964]])))
+    with pytest.raises(cd.CoefficientBudgetExceeded):
+        cd.delta_weighted(lat, w)
+
+
 def test_enumeration_budget():
     lat = cd.make_lattice(np.eye(5))
     with pytest.raises(cd.EnumerationBudgetExceeded):
         cd.shortest_vector(lat, "euclid", budget=10)
+
+
+def _skewed_unimodular(seed, d, steps):
+    """A well-conditioned unimodular basis and the same lattice after integer column operations."""
+    rng = np.random.default_rng(seed)
+    B = random_unimodular(rng, d)
+    U = np.eye(d, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(d, 2, replace=False)
+        U[:, i] += int(rng.integers(-3, 4)) * U[:, j]
+    return B, B @ U
+
+
+def _check_reduced(B):
+    Br, M = _lll_reduce(B)
+    assert M.dtype == np.int64
+    assert abs(abs(np.linalg.det(M)) - 1.0) < 1e-6
+    assert np.array_equal(Br, B @ M)
+    mu, bb = gram_schmidt(Br)
+    d = B.shape[1]
+    for k in range(1, d):
+        assert np.all(np.abs(mu[k, :k]) <= 0.5 + 1e-9), mu
+        assert bb[k] >= (0.99 - mu[k, k - 1] ** 2) * bb[k - 1] * (1.0 - 1e-9), (k, bb, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_lll_reduce_properties(d, seed, steps):
+    """Unimodular transform, size reduction and Lovasz at 0.99; minima equal brute force."""
+    B, Bs = _skewed_unimodular(seed, d, steps)
+    _check_reduced(Bs)
+    # every minimizer has euclid norm <= max(shortest column, sqrt(d)): Minkowski
+    # puts a vector of sup norm <= 1 in the lattice, and quasinorm <= 1 implies
+    # sup norm <= 1; so |c_k| <= |row_k(B^-1)| times that radius
+    radius = max(float(np.min(np.linalg.norm(B, axis=0))), math.sqrt(d))
+    bounds = np.ceil(np.linalg.norm(np.linalg.inv(B), axis=1) * radius).astype(int)
+    assume(np.prod(2 * bounds + 1) <= 2_000_000)
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
+    C = np.stack([g.ravel() for g in grids], axis=1)
+    C = C[np.any(C != 0, axis=1)]
+    want = brute_minima(C @ B.T, WEIGHTS[d])
+    lat = cd.make_lattice(Bs, tol=1e-6)
+    got = (
+        cd.shortest_vector(lat, "euclid").length,
+        cd.shortest_vector(lat, "sup").length,
+        cd.shortest_vector_weighted(lat, WEIGHTS[d]).length,
+    )
+    # the skewed basis is the same lattice up to the roundoff of B @ U
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0), (got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@example(0.41, 0.77, 9.0)
+@given(
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+    st.floats(0.0, 9.0, allow_subnormal=False),
+)
+def test_lll_flow_bases_match_brute(a1, a2, T):
+    """On g_T u_A Z^3, T <= 9, the minima in all three norms equal the flow-box brute force."""
+    w = WEIGHTS[3]
+    B = cd.g_t(w, T) @ cd.u_A(np.array([[a1, a2]]))
+    _check_reduced(B)
+    lat = cd.make_lattice(B)
+    sv = (
+        cd.shortest_vector(lat, "euclid"),
+        cd.shortest_vector(lat, "sup"),
+        cd.shortest_vector_weighted(lat, w),
+    )
+    want = brute_minima(flow_coeffs([a1, a2], T, w) @ B.T, w)
+    for s, want_len in zip(sv, want):
+        assert abs(s.length - want_len) <= 1e-12 * max(1.0, want_len), (T, s, want_len)
+        assert np.array_equal(s.vec, B @ np.array(s.coeffs, dtype=float))
