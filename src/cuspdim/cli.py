@@ -39,8 +39,8 @@ def _version():
     """Package version and `git describe`, computed once per process."""
     try:
         v = metadata.version("cuspdim")
-    except metadata.PackageNotFoundError:
-        v = "0.0.0"
+    except metadata.PackageNotFoundError:  # run from the source tree
+        from . import __version__ as v
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -328,7 +328,8 @@ def cmd_nondiv(args, config, consts):
         f"{_fmt(e)},{_fmt(f)},{_fmt(math.sqrt(max(f * (1 - f), 0.0) / n))}"
         for e, f in zip(fit.eps_grid, fit.fractions)
     ]
-    return res, [], 0, ("eps,fraction,stderr", rows)
+    warns = [fit.warning] if fit.warning else []
+    return res, warns, 0, ("eps,fraction,stderr", rows)
 
 
 def _cover_params(args, config):

@@ -12,11 +12,17 @@ The per-sample cusp function uses a vectorized Gauss (Lagrange)
 reduction of the 2x2 bases; from a reduced basis the sup-norm minimum
 is attained at coefficients (1,0), (0,1), (1,1) or (1,-1), since any
 sup minimizer has euclid norm <= sqrt(2) lambda_1 and therefore
-a^2 - |ab| + b^2 <= 2.  Everything is exact up to float roundoff and
-cross-validated against the enumeration path in the tests.  Haar bases
-have moderate entries, so a float reduction suffices here; the flowed
-bases of the survivor cover need the integer-tracked, long-double
-kernel in `covering`.
+a^2 - |ab| + b^2 <= 2.  The reduction works component-wise on four
+flat float64 arrays (u0, u1, w0, w1) and keeps an active set: a row
+that neither swaps nor takes a nonzero multiple in a pass never changes
+again, so it is written back and dropped.  Haar samples all leave after
+one pass; g_t u_h Z^2 at t = 4.5..6 takes 8-9 passes.  Everything is
+exact up to float roundoff and cross-validated against the enumeration
+path in the tests.  Haar bases have moderate entries, so a float
+reduction suffices here; on g_t u_h x it loses about e^{2t} max|B|^2
+2^-52, which `nondivergence_profile` reports as a warning once it is no
+longer small against eps.  The flowed bases of the survivor cover need
+the integer-tracked, long-double kernel in `covering`.
 """
 
 import math
@@ -29,13 +35,17 @@ from . import rng as rngmod
 from .errors import (
     BudgetExceeded,
     DegenerateFit,
+    InvariantViolation,
     SamplerStall,
     UnsupportedDimension,
     ValidationError,
 )
+from .flows import T_LIMIT
 
 Y_MIN = math.sqrt(3.0) / 2.0
 ACCEPT_RATE = (math.pi / 3.0) / (2.0 / math.sqrt(3.0))  # ~0.906900
+MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
+PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,7 @@ class ScalingFit:
     fractions: list
     slope: float
     slope_ci: tuple
+    warning: str = None
 
 
 def _propose(rng, count):
@@ -113,37 +124,59 @@ def _bases(x, y, theta):
 
 
 def gauss_reduce_batch(B):
-    """Lagrange-reduce the column pairs of a (N,2,2) stack; returns (u, w) columns."""
-    u = B[:, :, 0].copy()
-    w = B[:, :, 1].copy()
-    for _ in range(64):
-        nu = np.sum(u * u, axis=1)
-        nw = np.sum(w * w, axis=1)
+    """Lagrange-reduce the column pairs of a (N,2,2) stack.
+
+    Returns the reduced columns u = (u0, u1) and w = (w0, w1) as four
+    1-D arrays.  Each pass swaps u and w where w is shorter and then
+    subtracts the nearest-integer multiple of u from w; a row that
+    neither swaps nor gets a nonzero multiple never changes again, so it
+    is written back and leaves the active set.  A row still active after
+    MAX_PASSES passes (not converged, or a norm that underflowed to NaN)
+    raises InvariantViolation instead of coming back unreduced.
+    """
+    n = len(B)
+    U0, U1 = B[:, 0, 0].copy(), B[:, 1, 0].copy()
+    W0, W1 = B[:, 0, 1].copy(), B[:, 1, 1].copy()
+    rows = np.arange(n)
+    u0, u1, w0, w1 = U0, U1, W0, W1
+    nu = u0 * u0 + u1 * u1  # w alone changes in a pass, so |u|^2 carries over
+    for _ in range(MAX_PASSES + 1):
+        nw = w0 * w0 + w1 * w1
         swap = nw < nu
-        if np.any(swap):
-            us = u[swap].copy()
-            u[swap] = w[swap]
-            w[swap] = us
+        if swap.any():
+            u0, w0 = np.where(swap, w0, u0), np.where(swap, u0, w0)
+            u1, w1 = np.where(swap, w1, u1), np.where(swap, u1, w1)
             nu = np.where(swap, nw, nu)
-        mu = np.rint(np.sum(u * w, axis=1) / nu)
-        if not np.any(swap) and not np.any(mu):
-            break
-        w -= mu[:, None] * u
-    return u, w
+        mu = np.rint((u0 * w0 + u1 * w1) / nu)
+        active = swap | (mu != 0)
+        if not active.all():
+            if len(rows) == n and not active.any():  # nothing dropped yet: the working arrays are the result
+                return u0, u1, w0, w1
+            done = ~active
+            idx = rows[done]
+            U0[idx], U1[idx], W0[idx], W1[idx] = u0[done], u1[done], w0[done], w1[done]
+            rows = rows[active]
+            u0, u1, w0, w1, nu, mu = u0[active], u1[active], w0[active], w1[active], nu[active], mu[active]
+        if not len(rows):
+            return U0, U1, W0, W1
+        w0 = w0 - mu * u0
+        w1 = w1 - mu * u1
+    raise InvariantViolation(
+        f"Gauss reduction left {len(rows)} of {n} rows unreduced after {MAX_PASSES} passes "
+        "(no convergence, or a norm outside the float64 range)"
+    )
 
 
 def delta2_batch(B, norm="sup"):
     """Exact shortest-vector length for each 2x2 basis in the stack."""
-    u, w = gauss_reduce_batch(B)
-    if norm == "euclid":
-        return np.sqrt(np.minimum(np.sum(u * u, axis=1), np.sum(w * w, axis=1)))
-    if norm != "sup":
+    if norm not in ("sup", "euclid"):
         raise ValidationError("norm", f"unknown norm {norm!r}")
-    best = None
-    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        v = a * u + b * w
-        s = np.max(np.abs(v), axis=1)
-        best = s if best is None else np.minimum(best, s)
+    u0, u1, w0, w1 = gauss_reduce_batch(B)
+    if norm == "euclid":
+        return np.sqrt(np.minimum(u0 * u0 + u1 * u1, w0 * w0 + w1 * w1))
+    best = np.maximum(np.abs(u0), np.abs(u1))
+    for v0, v1 in ((w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1)):
+        best = np.minimum(best, np.maximum(np.abs(v0), np.abs(v1)))
     return best
 
 
@@ -247,8 +280,18 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
         raise ValidationError("eps_grid", "need at least 3 epsilon values")
     if min(eps_grid) <= 0:
         raise ValidationError("eps_grid", "epsilons must be positive")
+    if not abs(t) <= T_LIMIT:
+        raise ValidationError("t", f"e^t overflows float64: need |t| <= {T_LIMIT:.6g}")
     B = x.basis
     et, emt = math.exp(t), math.exp(-t)
+    # the float reduction of g_t u_h x loses about e^{2t} max|B|^2 2^-52 in absolute terms
+    log_err = 2.0 * t + 2.0 * math.log(float(np.max(np.abs(B)))) - 52.0 * math.log(2.0)
+    warning = None
+    if log_err > math.log(1e-3 * min(eps_grid)):
+        warning = (
+            f"float Gauss reduction roundoff e^(2t) max|B|^2 2^-52 ~ 10^{log_err / math.log(10.0):.1f} "
+            f"exceeds 1e-3 min(eps_grid) at t = {t:g}: fractions may be inaccurate"
+        )
 
     def work(rng, count, _):
         h = rng.uniform(-2.0, 2.0, count)
@@ -279,12 +322,53 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
         fractions=fractions.tolist(),
         slope=float(slope),
         slope_ci=(float(slope) - half, float(slope) + half),
+        warning=warning,
     )
 
 
 def admissible_radius(eps, w, C11=2.0):
     """Largest perturbation radius the inner-core inclusion is stated for."""
     return (2.0**w.alpha - 1.0) / (w.d * C11) * eps ** max(w.m, w.n)
+
+
+def _perturbations(prng, r, C11, count):
+    """The first `count` accepted g in stream order, and the candidates rejected before the last.
+
+    A candidate g = (I + r R/||R||)/sqrt(det) comes from four normals R
+    and is accepted when det > 0 and max(||g - I||, ||g^-1 - I||) <=
+    C11 r.  Candidates are drawn and tested in stacked blocks; a block
+    may overdraw the stream past the last candidate used, which nothing
+    sees because nothing reads the stream afterwards.  PERTURB_TRIES
+    rejections in a row raise BudgetExceeded.
+    """
+    eye = np.eye(2)
+    accepted = [np.empty((0, 2, 2))]
+    have = 0
+    last = -1  # stream position of the last accepted candidate
+    start = 0  # stream position of the block's first candidate
+    while have < count:
+        block = min(count - have + 256, 1 << 14)
+        R = prng.normal(size=(block, 2, 2))
+        g = eye + r * (R / np.linalg.svd(R, compute_uv=False)[:, :1, None])
+        det = np.linalg.det(g)
+        pos = np.flatnonzero(det > 0)
+        g = g[pos] / np.sqrt(det[pos])[:, None, None]
+        op = np.maximum(
+            np.linalg.svd(g - eye, compute_uv=False)[:, 0],
+            np.linalg.svd(np.linalg.inv(g) - eye, compute_uv=False)[:, 0],
+        )
+        keep = np.flatnonzero(op <= C11 * r)[: count - have]
+        pos = start + pos[keep]
+        accepted.append(g[keep])
+        have += len(pos)
+        start += block
+        # while candidates are still needed, the wait after the last acceptance counts too
+        ends = pos if have == count else np.append(pos, start)
+        if np.any(np.diff(ends, prepend=last) > PERTURB_TRIES):
+            raise BudgetExceeded("perturbation renormalization kept failing")
+        if len(pos):
+            last = int(pos[-1])
+    return np.concatenate(accepted), last + 1 - count
 
 
 @dataclass(frozen=True)
@@ -305,7 +389,10 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0, threads
     re-verified to satisfy max(||g-I||, ||g^-1-I||) <= C11 r.  Within
     the admissible radius the inclusion is unconditional, so the
     expected violation count is zero; beyond it the count is
-    informational.
+    informational.  The g are the first accepted candidates of one
+    stream, in order; renorm_rejects counts the candidates rejected
+    before the last one used, and PERTURB_TRIES rejections in a row
+    raise BudgetExceeded.
     """
     _require_d2(w)
     if r < 0:
@@ -325,33 +412,9 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0, threads
         keep.append(bases[d < half])
     bases = np.concatenate(keep)[:n_samples]
 
-    prng = rngmod.stream(seed, stream_id=5)
-    perturbed = []
-    renorm_rejects = 0
-    for s in range(n_samples):
-        for _ in range(n_perturb):
-            for _try in range(1000):
-                R = prng.normal(size=(2, 2))
-                R /= np.linalg.svd(R, compute_uv=False)[0]
-                g = np.eye(2) + r * R
-                det = float(np.linalg.det(g))
-                if det <= 0:
-                    renorm_rejects += 1
-                    continue
-                g /= math.sqrt(det)
-                gi = np.linalg.inv(g)
-                op = max(
-                    float(np.linalg.svd(g - np.eye(2), compute_uv=False)[0]),
-                    float(np.linalg.svd(gi - np.eye(2), compute_uv=False)[0]),
-                )
-                if r > 0 and op > C11 * r:
-                    renorm_rejects += 1
-                    continue
-                break
-            else:
-                raise BudgetExceeded("perturbation renormalization kept failing")
-            perturbed.append(g @ bases[s])
-    violations = int(np.count_nonzero(delta2_batch(np.array(perturbed).reshape(-1, 2, 2), "sup") >= eps))
+    g, renorm_rejects = _perturbations(rngmod.stream(seed, stream_id=5), r, C11, n_samples * n_perturb)
+    perturbed = g @ np.repeat(bases, n_perturb, axis=0)
+    violations = int(np.count_nonzero(delta2_batch(perturbed, "sup") >= eps))
     return InclusionReport(
         pairs=n_samples * n_perturb,
         violations=violations,

@@ -170,6 +170,33 @@ def test_nondiv_report(capsys):
     assert rep["results"]["slope_ok"] is True
 
 
+def test_nondiv_t_beyond_float_range_exit_1(capsys):
+    code = cli.main(["nondiv", "--t", "800", "--n-samples", "100"])
+    err = capsys.readouterr().err
+    assert code == 1 and "t:" in err
+
+
+def test_nondiv_threads_invariant_and_warning(capsys):
+    argv = ("nondiv", "--t", "5", "--n-samples", "30000", "--seed", "9")
+    _, one = run_json(capsys, *argv, "--threads", "1")
+    _, two = run_json(capsys, *argv, "--threads", "2")
+    assert one["results"] == two["results"] and one["warnings"] == two["warnings"] == []
+    code, deep = run_json(capsys, "nondiv", "--t", "20", "--n-samples", "2000")
+    assert code == 0 and len(deep["warnings"]) == 1
+
+
+def test_version_falls_back_to_package_version(monkeypatch):
+    def missing(name):
+        raise cli.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(cli.metadata, "version", missing)
+    cli._version.cache_clear()
+    try:
+        assert cli._version().startswith(f"cuspdim {cd.__version__}")
+    finally:
+        cli._version.cache_clear()
+
+
 def test_nondiv_degenerate_exit_2(capsys):
     code = cli.main(
         ["nondiv", "--t", "0", "--eps-grid", "0.3,0.5,0.7", "--n-samples", "500"]

@@ -7,7 +7,7 @@ import pytest
 
 import cuspdim as cd
 from cuspdim import rng as rngmod
-from cuspdim.haar import _bases, delta2_batch, sample_batch
+from cuspdim.haar import _bases, _perturbations, delta2_batch, gauss_reduce_batch, sample_batch
 
 W2 = cd.EQUAL_WEIGHTS_2D
 MINKOWSKI = 2.0 / math.sqrt(math.pi)
@@ -61,6 +61,45 @@ def test_delta2_batch_vs_enumeration():
             else:
                 want = float(np.min(np.max(np.abs(V), axis=1)))
             assert abs(got[k] - want) <= 1e-12
+
+
+def _flow_bases(t, h):
+    """g_t u_h Z^2 for each h: columns (e^t, 0) and (h e^t, e^-t)."""
+    B = np.zeros((len(h), 2, 2))
+    B[:, 0, 0] = math.exp(t)
+    B[:, 0, 1] = h * math.exp(t)
+    B[:, 1, 1] = math.exp(-t)
+    return B
+
+
+def test_delta2_batch_multipass_vs_shortest_vector():
+    """One stack mixing flowed and Haar rows, which leave the active set at different passes."""
+    rng = rngmod.stream(6, 9)
+    x, y, theta, _ = sample_batch(rng, 120)
+    parts = [_bases(x, y, theta)] + [_flow_bases(t, rng.uniform(-2.0, 2.0, 120)) for t in (4.5, 6.0)]
+    B = np.concatenate(parts)[rng.permutation(360)]
+    for norm in ("euclid", "sup"):
+        got = delta2_batch(B, norm)
+        for k in range(len(B)):
+            want = cd.shortest_vector(cd.make_lattice(B[k]), norm).length
+            assert abs(got[k] - want) <= 1e-9 * want, (k, norm, got[k], want)
+    # deep in the cusp the answer is roundoff, but every row ends Lagrange-reduced
+    u0, u1, w0, w1 = gauss_reduce_batch(_flow_bases(30.0, rng.uniform(-2.0, 2.0, 2000)))
+    nu = u0 * u0 + u1 * u1
+    assert np.all(nu <= w0 * w0 + w1 * w1)
+    assert np.all(2.0 * np.abs(u0 * w0 + u1 * w1) <= nu)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_delta2_batch_unreduced_row_raises():
+    """A norm that underflows leaves a row unreduced: a typed error, not a NaN."""
+    B = np.array([[[1.0, (5**0.5 - 1) / 2], [0.0, 1e-300]], [[1.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(cd.InvariantViolation, match="1 of 2 rows"):
+        delta2_batch(B)
+    with pytest.raises(cd.InvariantViolation, match="1 of 1 rows"):
+        delta2_batch(B[:1])
+    assert delta2_batch(B[1:]).tolist() == [1.0]
+    assert delta2_batch(np.empty((0, 2, 2))).shape == (0,)
 
 
 def test_mu_examples():
@@ -148,6 +187,74 @@ def test_nondivergence_scaling_exponent():
     half = (fit.slope_ci[1] - fit.slope_ci[0]) / 2.0
     assert fit.slope >= 1.0 - half
     assert half <= 0.2
+
+
+def test_nondivergence_t_limit_and_accuracy_warning():
+    x0 = cd.make_lattice(np.eye(2))
+    grid = [0.02, 0.04, 0.08, 0.16]
+    with pytest.raises(cd.ValidationError) as err:
+        cd.nondivergence_profile(x0, W2, 800.0, grid, 100, seed=0)
+    assert err.value.field == "t"
+    # roundoff e^{2t} 2^-52 against 1e-3 min(eps): 3.6e-11 at t = 6, 2.3e-2 at t = 20
+    assert cd.nondivergence_profile(x0, W2, 6.0, grid, 2000, seed=0).warning is None
+    warn = cd.nondivergence_profile(x0, W2, 20.0, grid, 2000, seed=0).warning
+    assert warn is not None and "t = 20" in warn
+
+
+def test_pinned_outputs():
+    """Exact outputs at fixed seeds: they move if a stream, the draw order or the reduction's arithmetic does."""
+    assert cd.estimate_mu_U(0.1, W2, 200000, seed=4, threads=2).hits == 2435
+    x0 = cd.make_lattice(np.eye(2))
+    fit = cd.nondivergence_profile(x0, W2, 5.0, [0.02, 0.04, 0.08, 0.16], 100000, seed=4, threads=2)
+    assert fit.fractions == [0.03054, 0.00753, 0.00173, 0.0003]
+    for r, want in ((0.8, (14, 27)), (2.0, (76, 810))):
+        rep = cd.core_inclusion_check(0.3, r, W2, 200, 5, seed=0)
+        assert (rep.violations, rep.renorm_rejects) == want
+    with pytest.raises(cd.BudgetExceeded):
+        cd.core_inclusion_check(0.3, 0.8, W2, 200, 5, seed=0, C11=1e-3)
+
+
+def _sequential_perturbations(prng, r, C11, count):
+    """One candidate per draw of four normals, as a reference for the blocked draws."""
+    out, rejects = [], 0
+    for _ in range(count):
+        for _try in range(1000):
+            R = prng.normal(size=(2, 2))
+            R /= np.linalg.svd(R, compute_uv=False)[0]
+            g = np.eye(2) + r * R
+            det = float(np.linalg.det(g))
+            if det <= 0:
+                rejects += 1
+                continue
+            g /= math.sqrt(det)
+            op = max(
+                float(np.linalg.svd(g - np.eye(2), compute_uv=False)[0]),
+                float(np.linalg.svd(np.linalg.inv(g) - np.eye(2), compute_uv=False)[0]),
+            )
+            if op > C11 * r:
+                rejects += 1
+                continue
+            break
+        else:
+            raise cd.BudgetExceeded("reference gave up")
+        out.append(g)
+    return np.array(out).reshape(-1, 2, 2), rejects
+
+
+# C11 = 0.1 at r = 2 accepts about one candidate in 300, so the 58 pairs span
+# many blocks; in stream (5, 5) the 59th accepted candidate follows more than
+# 1000 rejections in a row
+@pytest.mark.parametrize("r, C11, count", [(0.0, 2.0, 300), (0.05, 2.0, 700), (2.0, 2.0, 1500), (2.0, 0.1, 58)])
+def test_batched_perturbations_match_sequential_draws(r, C11, count):
+    got, got_rejects = _perturbations(rngmod.stream(5, 5), r, C11, count)
+    want, want_rejects = _sequential_perturbations(rngmod.stream(5, 5), r, C11, count)
+    assert np.array_equal(got, want) and got_rejects == want_rejects
+
+
+def test_batched_perturbations_give_up_where_sequential_draws_do():
+    for draw in (_perturbations, _sequential_perturbations):
+        with pytest.raises(cd.BudgetExceeded):
+            draw(rngmod.stream(5, 5), 2.0, 0.1, 59)
 
 
 def test_nondivergence_degenerate():
