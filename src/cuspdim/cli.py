@@ -149,8 +149,8 @@ def _constants(config):
     return block
 
 
-def _positive(name):
-    return lambda v: None if v > 0 else "must be positive"
+def _positive(v):
+    return None if v > 0 else "must be positive"
 
 
 def _in_unit(v):
@@ -158,14 +158,8 @@ def _in_unit(v):
 
 
 def _window(args, config):
-    """t-max and dt of an orbit grid whose e^t is finite and whose length is capped."""
-    t_max = _resolve(args, config, "t-max", 15.0, float, _positive("t-max"))
-    dt = _resolve(args, config, "dt", 0.01, float, _positive("dt"))
-    if not t_max + dt <= flows.T_LIMIT:
-        raise ValidationError("t-max", f"e^t overflows float64: need t-max + dt <= {flows.T_LIMIT:.6g}")
-    if t_max / dt > flows.MAX_SAMPLES:
-        raise ValidationError("t-max", f"t-max / dt exceeds {flows.MAX_SAMPLES} samples")
-    return t_max, dt
+    """t-max and dt of the orbit grid; `flows.orbit_profile` checks them."""
+    return _resolve(args, config, "t-max", 15.0, float), _resolve(args, config, "dt", 0.01, float)
 
 
 # ---------------------------------------------------------------- commands
@@ -231,17 +225,17 @@ def cmd_delta(args, config, consts):
 def cmd_bad(args, config, consts):
     w = _weights_from_config(config)
     A = _matrix_A(args, config, w)
-    c = _resolve(args, config, "c", None, float, lambda v: None if 0 < v < 1 else "must be in (0, 1)")
+    c = _resolve(args, config, "c", None, float)
     if c is None:
         raise ValidationError("c", "required")
     t_max, dt = _window(args, config)
     q_bound = _resolve(args, config, "q-bound", None, int, lambda v: None if v >= 1 else "must be >= 1")
+    profile = flows.orbit_profile(A, w, t_max, dt)
+    verdict = flows.classify_from_profile(profile, c, w.d)
     if q_bound is None:
         # the orbit on [0, t_max] dips below sqrt(c) exactly when some
         # q <= sqrt(c) e^{t_max} has q dist(qA, Z) < c: match the predicate to it
         q_bound = math.ceil(math.sqrt(c) * math.exp(t_max))
-    profile = flows.orbit_profile(A, w, t_max, dt)
-    verdict = flows.classify_from_profile(profile, c, w.d)
     c_direct = flows.direct_bad_constant(A, w, q_bound)
     res = {
         "classification": verdict.classification,
@@ -286,7 +280,7 @@ def cmd_mu(args, config, consts):
     eps = _resolve(args, config, "eps", None, float, lambda v: None if v >= 0 else "must be nonnegative")
     if eps is None:
         raise ValidationError("eps", "required")
-    n = _resolve(args, config, "n-samples", 10**5, int, _positive("n-samples"))
+    n = _resolve(args, config, "n-samples", 10**5, int)
     est = haar.estimate_mu_U(eps, w, n, seed=args.seed_val, threads=args.threads_val)
     res = {
         "eps": est.eps,
@@ -308,7 +302,7 @@ def cmd_nondiv(args, config, consts):
     w = _weights_from_config(config)
     lat = _basis_from_config(config, w.d)
     t = _resolve(args, config, "t", 4.0, float, lambda v: None if v >= 0 else "must be nonnegative")
-    n = _resolve(args, config, "n-samples", 10**5, int, _positive("n-samples"))
+    n = _resolve(args, config, "n-samples", 10**5, int)
     grid_raw = getattr(args, "eps_grid", None) or config.get("eps-grid", "0.02,0.04,0.08,0.16")
     try:
         grid = [float(v) for v in str(grid_raw).split(",")]
@@ -334,10 +328,10 @@ def cmd_nondiv(args, config, consts):
 
 def _cover_params(args, config):
     c = _resolve(args, config, "c", 0.25, float, _in_unit)
-    r = _resolve(args, config, "r", 0.5, float, _positive("r"))
-    t = _resolve(args, config, "t", 1.5, float, _positive("t"))
+    r = _resolve(args, config, "r", 0.5, float, _positive)
+    t = _resolve(args, config, "t", 1.5, float, _positive)
     k_max = _resolve(args, config, "k-max", 6, int, lambda v: None if v >= 1 else "must be >= 1")
-    budget = _resolve(args, config, "budget", covering.BOX_BUDGET, int, _positive("budget"))
+    budget = _resolve(args, config, "budget", covering.BOX_BUDGET, int, _positive)
     return c, r, t, k_max, budget
 
 
@@ -487,7 +481,7 @@ def main(argv=None):
     try:
         config = _load_config(args.config)
         seed = _resolve(args, config, "seed", 0, int, lambda v: None if 0 <= v < 2**64 else "must be a 64-bit unsigned integer")
-        threads = _resolve(args, config, "threads", 1, int, _positive("threads"))
+        threads = _resolve(args, config, "threads", 1, int, _positive)
         args.seed_val = seed
         args.threads_val = threads
         consts = _constants(config)

@@ -80,20 +80,20 @@ def _lambdas(w):
     return np.array([ik + jl for ik in w.i for jl in w.j])
 
 
-def _per_axis_count(E, tol=_NEAR_INT_TOL):
+def _per_axis_count(E):
     """Translates of a length-1/E interval meeting (0, 1), open boxes.
 
-    Exactly ceil(E), except that E within relative tol of an integer is
-    taken as that integer (the open intervals then tile without the
-    extra boundary translate).
+    Exactly ceil(E), except that E within relative _NEAR_INT_TOL of an
+    integer is taken as that integer (the open intervals then tile
+    without the extra boundary translate).
     """
     R = round(E)
-    if abs(E - R) <= tol * E:
+    if abs(E - R) <= _NEAR_INT_TOL * E:
         return int(R)
     return int(math.ceil(E))
 
 
-def count_S_rt(tess, w, t, tol=_NEAR_INT_TOL):
+def count_S_rt(tess, w, t):
     """Exact count of gamma in Lambda_r with g_{-t} V_r gamma g_t meeting V_r."""
     if t < 0:
         raise ValidationError("t", "must be nonnegative")
@@ -101,11 +101,11 @@ def count_S_rt(tess, w, t, tol=_NEAR_INT_TOL):
         raise DimensionMismatch(f"tessellation L={tess.L} != m*n={w.m * w.n}")
     total = 1
     for lam in _lambdas(w):
-        total *= _per_axis_count(math.exp(lam * t), tol)
+        total *= _per_axis_count(math.exp(lam * t))
     return total
 
 
-def count_S_rt_brute(tess, w, t, tol=_NEAR_INT_TOL):
+def count_S_rt_brute(tess, w, t):
     """Independent enumeration oracle: test every translate's interval overlap.
 
     Works per coordinate (the boxes are axis-aligned products) over
@@ -123,18 +123,18 @@ def count_S_rt_brute(tess, w, t, tol=_NEAR_INT_TOL):
             lo = gamma * f
             hi = (gamma + 1) * f
             # open intervals (lo, hi) vs (0, 1) in units of the cube side
-            if lo < 1.0 - tol and hi > tol:
+            if lo < 1.0 - _NEAR_INT_TOL and hi > _NEAR_INT_TOL:
                 cnt += 1
         total *= cnt
     return total
 
 
-def lemma61_bound(tess, w, t, K3, lambda0=None):
-    """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r))."""
+def lemma61_bound(tess, w, t, K3):
+    """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r)), lambda0 = min lambda."""
     if K3 <= 0:
         raise ValidationError("K3", "must be positive")
     lams = _lambdas(w)
-    lam0 = float(np.min(lams)) if lambda0 is None else float(lambda0)
+    lam0 = float(np.min(lams))
     vol = tess.side**tess.L
     return math.exp(float(np.sum(lams)) * t) * (1.0 + K3 * math.exp(-lam0 * t) / vol)
 
@@ -163,15 +163,10 @@ class CoverLevel:
     half_sides: np.ndarray  # (L,) uniform within the level
     count: int
 
-    @property
-    def boxes(self):
-        h = tuple(float(v) for v in self.half_sides)
-        return [(tuple(float(v) for v in c), h) for c in self.centers]
-
 
 @dataclass(frozen=True)
 class CoverResult:
-    """List-like sequence of CoverLevel plus run metadata."""
+    """The CoverLevels in order (iterable) plus run metadata."""
 
     levels: list
     truncated: bool
@@ -181,12 +176,6 @@ class CoverResult:
 
     def __iter__(self):
         return iter(self.levels)
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, k):
-        return self.levels[k]
 
 
 def _coeff_guard(*arrays):
@@ -296,18 +285,7 @@ def _delta_at_centers(centers, T, x0, w, coeffs):
     return out
 
 
-def survivor_cover(
-    x0,
-    w,
-    c,
-    r,
-    t,
-    k_max,
-    budget=BOX_BUDGET,
-    safety=None,
-    r_cap=R_CAP,
-    tol=_NEAR_INT_TOL,
-):
+def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET, safety=None):
     """Recursive Bowen-box cover of the h whose orbit avoids U(c^(1/d)).
 
     Level 0 is the single cube V_r = (0, side)^L.  Level k+1 refines
@@ -326,8 +304,8 @@ def survivor_cover(
     """
     if not 0 < c < 1:
         raise ValidationError("c", "must be in (0, 1)")
-    if not 0 < r <= r_cap:
-        raise ValidationError("r", f"must be in (0, {r_cap}]")
+    if not 0 < r <= R_CAP:
+        raise ValidationError("r", f"must be in (0, {R_CAP}]")
     if t <= 0:
         raise ValidationError("t", "must be positive")
     if int(k_max) != k_max or k_max < 1:
@@ -350,7 +328,7 @@ def survivor_cover(
     ]
     total = 1
     truncated = False
-    m_axis = [_per_axis_count(math.exp(lam * t), tol) for lam in lams]
+    m_axis = [_per_axis_count(math.exp(lam * t)) for lam in lams]
     n_children = int(np.prod(m_axis))
     # d = 2, equal weights: reduced integer bases of the kept boxes, so that
     # each child's reduction starts from its parent's (level 0: the identity)
@@ -466,7 +444,7 @@ def _cf_lengths(N, depth):
     return 1.0 / (q * (q + qp))
 
 
-def cf_digit_oracle(N, depth, cap=CF_BUDGET):
+def cf_digit_oracle(N, depth):
     """Box-dimension estimate of E_N = {all partial quotients <= N}.
 
     Enumerates all depth-level continued-fraction cylinders with digits
@@ -479,8 +457,8 @@ def cf_digit_oracle(N, depth, cap=CF_BUDGET):
         raise ValidationError("N", "must be a positive integer")
     if int(depth) != depth or depth < 4:
         raise ValidationError("depth", "must be an integer >= 4")
-    if N**depth > cap:
-        raise BudgetExceeded(f"N^depth = {N ** depth} exceeds cap {cap}")
+    if N**depth > CF_BUDGET:
+        raise BudgetExceeded(f"N^depth = {N ** depth} exceeds cap {CF_BUDGET}")
     if N == 1:
         return 0.0  # single cylinder per depth: the one-point golden tail
     l_prev = _cf_lengths(N, depth - 1)

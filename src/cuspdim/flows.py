@@ -6,10 +6,10 @@ acts on lattices; the orbit of u_A Z^d avoids the cusp region
 approximable at level c = eps^d.  Both sides of that equivalence are
 computable here:
 
-  * orbit_profile      - delta_w along a time grid (exact per sample)
-  * direct_bad_constant - brute-force inf of ||Aq+p||_i ||q||_j
-  * dani_classify      - window-limited verdict with an explicit
-                         continuity margin, Boundary when inconclusive
+  * orbit_profile         - delta_w along a time grid (exact per sample)
+  * direct_bad_constant   - brute-force inf of ||Aq+p||_i ||q||_j
+  * classify_from_profile - window-limited verdict with an explicit
+                            continuity margin, Boundary when inconclusive
 
 For m = n = 1 the profile uses a closed form: the lattice g_t u_a Z^2
 consists of (e^t(p + aq), e^{-t}q), so over the whole time window only
@@ -28,29 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, ValidationError
-from .lattices import CELL_BUDGET, Lattice, WeightVector, delta_weighted, make_lattice
+from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 
 # e^t is finite in float64 up to t = ln(max float) = 709.78
 T_LIMIT = math.log(np.finfo(np.float64).max)
 # cap on t_max / dt: the 1x1 profile holds a (samples x records) array
 MAX_SAMPLES = 10**5
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    weights: WeightVector
-    t_max: float = 15.0
-    dt: float = 0.01
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt", "must be positive")
-        if self.dt > self.t_max:
-            raise ValidationError("dt", "must not exceed t_max")
-        if not self.t_max + self.dt <= T_LIMIT:
-            raise ValidationError("t_max", f"e^t overflows float64: need t_max + dt <= {T_LIMIT:.6g}")
-        if self.t_max / self.dt > MAX_SAMPLES:
-            raise ValidationError("t_max", f"t_max / dt exceeds {MAX_SAMPLES} samples")
 
 
 @dataclass(frozen=True)
@@ -61,10 +44,6 @@ class OrbitProfile:
     argmin_t: float
     continuity_margin: float
 
-    @property
-    def samples(self):
-        return list(zip(self.ts.tolist(), self.deltas.tolist()))
-
 
 @dataclass(frozen=True)
 class BadVerdict:
@@ -72,7 +51,6 @@ class BadVerdict:
     c_target: float
     orbit_min: float
     margin: float
-    c_direct: float = None
 
 
 def g_t(w, t):
@@ -130,26 +108,34 @@ def _profile_fastpath(a, ts):
     return np.minimum(et, vals.min(axis=1))
 
 
-def orbit_profile(A, w, t_max=15.0, dt=0.01, budget=None):
+def orbit_profile(A, w, t_max=15.0, dt=0.01):
     """Sampled trajectory t -> delta_w(g_t u_A Z^d) with a continuity margin.
 
     Between grid points the quasinorm of any fixed vector moves by at
     most exp(max(1/m, 1/n) dt), so min_delta is certified up to that
-    factor.
+    factor.  The grid [0, t_max] in steps dt must keep e^t finite and
+    hold at most MAX_SAMPLES steps.
     """
-    spec = FlowSpec(weights=w, t_max=float(t_max), dt=float(dt))
-    ts = np.arange(0.0, spec.t_max + spec.dt * 0.5, spec.dt)
+    t_max, dt = float(t_max), float(dt)
+    if not t_max > 0:
+        raise ValidationError("t-max", "must be positive")
+    if not dt > 0:
+        raise ValidationError("dt", "must be positive")
+    if not t_max + dt <= T_LIMIT:
+        raise ValidationError("t-max", f"e^t overflows float64: need t-max + dt <= {T_LIMIT:.6g}")
+    if t_max / dt > MAX_SAMPLES:
+        raise ValidationError("t-max", f"t-max / dt exceeds {MAX_SAMPLES} samples")
+    if dt > t_max:
+        raise ValidationError("dt", "must not exceed t_max")
+    ts = np.arange(0.0, t_max + dt * 0.5, dt)
     A = _as_matrix(A, w)
     if w.d == 2 and w.equal:
         deltas = _profile_fastpath(float(A[0, 0]), ts)
     else:
         U = u_A(A, w.m, w.n)
-        kwargs = {} if budget is None else {"budget": budget}
-        deltas = np.array(
-            [delta_weighted(make_lattice(g_t(w, t) @ U), w, **kwargs) for t in ts]
-        )
+        deltas = np.array([delta_weighted(make_lattice(g_t(w, t) @ U), w) for t in ts])
     k = int(np.argmin(deltas))
-    margin = float(np.exp(max(1.0 / w.m, 1.0 / w.n) * spec.dt))
+    margin = float(np.exp(max(1.0 / w.m, 1.0 / w.n) * dt))
     return OrbitProfile(
         ts=ts,
         deltas=deltas,
@@ -220,7 +206,16 @@ def direct_bad_constant(A, w, q_bound):
 
 
 def classify_from_profile(profile, c, d):
-    """Verdict from window evidence: Bad / NotBad / Boundary with margin."""
+    """Dynamical badly-approximable verdict from the orbit of u_A Z^d.
+
+    A is badly approximable at level c exactly when the forward orbit
+    avoids {delta_w < c^(1/d)}.  The verdict reports window-limited
+    evidence ([0, t_max]) with the grid continuity margin, and returns
+    Boundary rather than guessing when the evidence is within the
+    margin of the threshold.
+    """
+    if not 0 < c < 1:
+        raise ValidationError("c", "must be in (0, 1)")
     eps = c ** (1.0 / d)
     m = profile.continuity_margin
     if profile.min_delta / m >= eps:
@@ -236,19 +231,3 @@ def classify_from_profile(profile, c, d):
         margin=m,
     )
 
-
-def dani_classify(A, w, c, flow=None):
-    """Dynamical badly-approximable test via the orbit of u_A Z^d.
-
-    A is badly approximable at level c exactly when the forward orbit
-    avoids {delta_w < c^(1/d)}; the verdict reports window-limited
-    evidence ([0, t_max]) with the grid continuity margin, and returns
-    Boundary rather than guessing when the evidence is within the
-    margin of the threshold.
-    """
-    if not 0 < c < 1:
-        raise ValidationError("c", "must be in (0, 1)")
-    if flow is None:
-        flow = FlowSpec(weights=w)
-    profile = orbit_profile(A, w, flow.t_max, flow.dt)
-    return classify_from_profile(profile, c, w.d)

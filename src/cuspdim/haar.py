@@ -194,13 +194,7 @@ def siegel_prediction(eps, w):
     12 eps^2 / pi^2.
     """
     _require_d2(w)
-    return (2.0**w.d) * eps**w.d / (2.0 * _zeta(w.d))
-
-
-def _zeta(d):
-    if d == 2:
-        return math.pi**2 / 6.0
-    return float(sum(k ** (-float(d)) for k in range(1, 200000)))
+    return (2.0**w.d) * eps**w.d / (2.0 * (math.pi**2 / 6.0))  # zeta(2) = pi^2 / 6
 
 
 def estimate_mu_U(eps, w, n_samples, seed, threads=1, norm="quasi", theta_mode="sample"):
@@ -213,11 +207,13 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1, norm="quasi", theta_mode="
     _require_d2(w)
     if eps < 0:
         raise ValidationError("eps", "must be nonnegative")
+    if n_samples < 1:
+        raise ValidationError("n-samples", "must be positive")
     if norm not in ("quasi", "euclid"):
         raise ValidationError("norm", f"unknown norm {norm!r}")
     knorm = "sup" if norm == "quasi" else "euclid"
 
-    def work(rng, count, _):
+    def work(rng, count):
         x, y, theta, _p = sample_batch(rng, count)
         if theta_mode == "zero":
             theta = np.zeros_like(theta)
@@ -246,8 +242,10 @@ def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
     The stated density integrates to Pr[y >= c] = 3/(c pi) for c >= 1
     (the x-strip has width 1 and the domain mass is pi/3).
     """
+    if n_samples < 1:
+        raise ValidationError("n-samples", "must be positive")
 
-    def work(rng, count, _):
+    def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
         tail = [int(np.count_nonzero(y >= cut)) for cut in y_cuts]
         dmax = float(np.max(delta2_batch(_bases(x, y, theta), "euclid")))
@@ -275,17 +273,23 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     monotone in eps by construction.
     """
     _require_d2(w)
+    if n_samples < 1:
+        raise ValidationError("n-samples", "must be positive")
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 3:
         raise ValidationError("eps_grid", "need at least 3 epsilon values")
     if min(eps_grid) <= 0:
         raise ValidationError("eps_grid", "epsilons must be positive")
-    if not abs(t) <= T_LIMIT:
-        raise ValidationError("t", f"e^t overflows float64: need |t| <= {T_LIMIT:.6g}")
     B = x.basis
+    log_b = math.log(float(np.max(np.abs(B))))
+    # entries of g_t u_h B with |h| <= 2 stay below 3 max|B| e^|t|, so the squared
+    # norms the reduction forms stay below 2 (3 max|B|)^2 e^{2|t|}: keep that finite
+    t_cap = (T_LIMIT - math.log(2.0) - 2.0 * (math.log(3.0) + log_b)) / 2.0
+    if not abs(t) <= t_cap:
+        raise ValidationError("t", f"squared norms of g_t u_h x overflow float64: need |t| <= {t_cap:.6g}")
     et, emt = math.exp(t), math.exp(-t)
     # the float reduction of g_t u_h x loses about e^{2t} max|B|^2 2^-52 in absolute terms
-    log_err = 2.0 * t + 2.0 * math.log(float(np.max(np.abs(B)))) - 52.0 * math.log(2.0)
+    log_err = 2.0 * t + 2.0 * log_b - 52.0 * math.log(2.0)
     warning = None
     if log_err > math.log(1e-3 * min(eps_grid)):
         warning = (
@@ -293,7 +297,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
             f"exceeds 1e-3 min(eps_grid) at t = {t:g}: fractions may be inaccurate"
         )
 
-    def work(rng, count, _):
+    def work(rng, count):
         h = rng.uniform(-2.0, 2.0, count)
         bases = np.empty((count, 2, 2))
         # g_t u_h B: top row (B0 + h B1) e^t, bottom row B1 e^-t
@@ -381,7 +385,7 @@ class InclusionReport:
     renorm_rejects: int
 
 
-def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0, threads=1):
+def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0):
     """Check U(eps/2) stays inside U(eps) under perturbations of size r.
 
     Haar samples are filtered to delta_w < eps/2; each gets n_perturb

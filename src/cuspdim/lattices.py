@@ -55,16 +55,6 @@ class Lattice:
 
     dim: int
     basis: np.ndarray
-    tol: float = DET_TOL
-
-    def to_json(self):
-        return {"dim": self.dim, "basis": [float(v) for v in self.basis.reshape(-1)]}
-
-    @staticmethod
-    def from_json(obj):
-        d = int(obj["dim"])
-        basis = np.asarray(obj["basis"], dtype=float).reshape(d, d)
-        return make_lattice(basis)
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def make_lattice(basis, tol=DET_TOL):
         raise RankError()
     if abs(det - 1.0) > tol:
         raise DeterminantError(det, tol)
-    return Lattice(dim=d, basis=basis, tol=tol)
+    return Lattice(dim=d, basis=basis)
 
 
 def _vec_norm(V, norm):

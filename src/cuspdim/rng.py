@@ -25,7 +25,7 @@ def stream(seed, stream_id, chunk=None):
 
 
 def chunked_map(fn, n_total, seed, stream_id, threads=1):
-    """Run fn(rng, count, chunk_index) over fixed chunks; return list in chunk order.
+    """Run fn(rng, count) over fixed chunks; return list in chunk order.
 
     The chunk grid depends only on n_total, never on `threads`, so the
     concatenated output is byte-identical for any worker count.
@@ -34,7 +34,7 @@ def chunked_map(fn, n_total, seed, stream_id, threads=1):
 
     def run(arg):
         i, count = arg
-        return fn(stream(seed, stream_id, i), count, i)
+        return fn(stream(seed, stream_id, i), count)
 
     if threads <= 1 or len(chunks) <= 1:
         return [run(c) for c in chunks]

@@ -121,7 +121,7 @@ def test_weighted_orbit_from_config(tmp_path, capsys):
     code, rep = run_json(capsys, "orbit", "--config", str(cfg))
     assert code == 0
     prof = cd.orbit_profile(np.array([[0.41, 0.77]]), cd.WeightVector((1.0,), (0.3, 0.7)), 9.0, 0.5)
-    assert rep["results"]["samples"] == [[float(f"{t:.12g}"), float(f"{d:.12g}")] for t, d in prof.samples]
+    assert rep["results"]["samples"] == [[float(f"{t:.12g}"), float(f"{d:.12g}")] for t, d in zip(prof.ts, prof.deltas)]
     assert rep["results"]["min_delta"] == float(f"{prof.min_delta:.12g}")
 
 
@@ -170,10 +170,17 @@ def test_nondiv_report(capsys):
     assert rep["results"]["slope_ok"] is True
 
 
+@pytest.mark.filterwarnings("error")
 def test_nondiv_t_beyond_float_range_exit_1(capsys):
+    """A t at which a squared norm of g_t u_h Z^2 can overflow is refused before any sampling."""
     code = cli.main(["nondiv", "--t", "800", "--n-samples", "100"])
     err = capsys.readouterr().err
     assert code == 1 and "t:" in err
+    code = cli.main(["nondiv", "--t", "709", "--n-samples", "2000"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: t:")
+    code, _ = run_json(capsys, "nondiv", "--t", "300", "--n-samples", "2000")
+    assert code == 0
 
 
 def test_nondiv_threads_invariant_and_warning(capsys):

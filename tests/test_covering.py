@@ -173,7 +173,7 @@ def test_deep_cusp_first_step_consistency():
     eps = math.sqrt(c)
     side = r / 4.0
     thresh = eps / cov.safety
-    m_ax = _per_axis_count(math.exp(2.0 * t), 1e-9)
+    m_ax = _per_axis_count(math.exp(2.0 * t))
     cs = side * math.exp(-2.0 * t)
     centers = np.minimum(np.arange(m_ax) * cs, side - cs) + cs / 2.0
     keep = []

@@ -244,14 +244,19 @@ def test_nearest_p_optimal():
         assert abs(got - best) <= 1e-12
 
 
+def _verdict(A, c, t_max=15.0, dt=0.01):
+    """The Dani verdict at level c from the orbit of u_A Z^2 on [0, t_max]."""
+    return cd.classify_from_profile(cd.orbit_profile(A, W2, t_max, dt), c, 2)
+
+
 def test_dani_examples():
-    assert cd.dani_classify(PHI_M1, W2, 0.3).classification == "Bad"
-    assert cd.dani_classify(0.5, W2, 0.1).classification == "NotBad"
-    assert cd.dani_classify(PHI_M1, W2, 0.5).classification == "NotBad"
+    assert _verdict(PHI_M1, 0.3).classification == "Bad"
+    assert _verdict(0.5, 0.1).classification == "NotBad"
+    assert _verdict(PHI_M1, 0.5).classification == "NotBad"
 
 
 def test_dani_verdict_fields():
-    v = cd.dani_classify(PHI_M1, W2, 0.3)
+    v = _verdict(PHI_M1, 0.3)
     assert v.c_target == 0.3
     assert v.margin > 1.0
     assert abs(v.orbit_min - 0.6188) < 0.01
@@ -285,14 +290,7 @@ def test_verdict_consistency_in_t_max():
     rng = np.random.default_rng(2)
     for A in rng.uniform(0.0, 1.0, 30):
         for c in (0.05, 0.15, 0.3):
-            seq = [
-                rank[
-                    cd.dani_classify(
-                        float(A), W2, c, flow=cd.FlowSpec(weights=W2, t_max=T, dt=0.01)
-                    ).classification
-                ]
-                for T in (3.0, 6.0, 9.0, 12.0, 15.0)
-            ]
+            seq = [rank[_verdict(float(A), c, T, 0.01).classification] for T in (3.0, 6.0, 9.0, 12.0, 15.0)]
             assert all(seq[k] >= seq[k + 1] for k in range(len(seq) - 1)), (A, c, seq)
 
 
@@ -304,18 +302,23 @@ def test_boundary_is_reachable():
     assert v.classification == "Boundary"
 
 
-def test_flow_spec_validation():
-    with pytest.raises(cd.ValidationError):
-        cd.FlowSpec(weights=W2, t_max=-1.0, dt=0.01)
-    with pytest.raises(cd.ValidationError):
-        cd.FlowSpec(weights=W2, t_max=5.0, dt=0.0)
-    with pytest.raises(cd.ValidationError):
-        cd.dani_classify(PHI_M1, W2, 1.5)
+def test_window_and_c_validation():
+    with pytest.raises(cd.ValidationError) as err:
+        cd.orbit_profile(PHI_M1, W2, -1.0, 0.01)
+    assert err.value.field == "t-max"
+    with pytest.raises(cd.ValidationError) as err:
+        cd.orbit_profile(PHI_M1, W2, 5.0, 0.0)
+    assert err.value.field == "dt"
+    with pytest.raises(cd.ValidationError) as err:
+        _verdict(PHI_M1, 1.5)
+    assert err.value.field == "c"
     # e^t of the grid must be finite, and the grid no longer than MAX_SAMPLES
-    with pytest.raises(cd.ValidationError):
-        cd.FlowSpec(weights=W2, t_max=800.0, dt=0.01)
-    with pytest.raises(cd.ValidationError):
-        cd.FlowSpec(weights=W2, t_max=20.0, dt=1e-4)
+    with pytest.raises(cd.ValidationError) as err:
+        cd.orbit_profile(PHI_M1, W2, 800.0, 0.01)
+    assert err.value.field == "t-max"
+    with pytest.raises(cd.ValidationError) as err:
+        cd.orbit_profile(PHI_M1, W2, 20.0, 1e-4)
+    assert err.value.field == "t-max"
     for A in (math.nan, math.inf):
         with pytest.raises(cd.ValidationError):
             cd.orbit_profile(A, W2, 5.0, 0.01)

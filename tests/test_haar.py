@@ -263,6 +263,23 @@ def test_nondivergence_degenerate():
         cd.nondivergence_profile(x0, W2, 0.0, [0.3, 0.5, 0.7], 500, seed=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: cd.estimate_mu_U(0.1, W2, n, seed=0),
+        lambda n: cd.sampler_calibration(n, seed=0),
+        lambda n: cd.nondivergence_profile(cd.make_lattice(np.eye(2)), W2, 4.0, [0.02, 0.04, 0.08], n, seed=0),
+    ],
+    ids=["estimate_mu_U", "sampler_calibration", "nondivergence_profile"],
+)
+def test_sample_count_must_be_positive(call, n):
+    with pytest.raises(cd.ValidationError) as err:
+        call(n)
+    assert err.value.field == "n-samples"
+
+
 def test_admissible_radius_value():
     # (2^alpha - 1)/(d C11) eps^max(m,n) with alpha=1, d=2, C11=2
     assert abs(cd.admissible_radius(0.3, W2) - (1.0 / 4.0) * 0.3) <= 1e-15

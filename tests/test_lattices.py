@@ -1,6 +1,5 @@
 """Shortest vectors and weighted cusp functions: exactness and invariants."""
 
-import json
 import math
 
 import numpy as np
@@ -117,15 +116,6 @@ def test_make_lattice_validation():
         cd.make_lattice(np.eye(6))
     # tolerance is honored
     cd.make_lattice(np.diag([1.0 + 5e-10, 1.0]))
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(5)
-    B = random_unimodular(rng, 3)
-    lat = cd.make_lattice(B)
-    lat2 = cd.Lattice.from_json(json.loads(json.dumps(lat.to_json())))
-    assert lat2.dim == 3
-    assert np.array_equal(lat2.basis, lat.basis)
 
 
 def test_oracle_equivalence_100_bases():
