@@ -1,10 +1,11 @@
-"""Command-line surface: config resolution, dispatch, serialization.
+"""Command-line surface: config decoding, dispatch, serialization.
 
-Exit codes: 0 success, 1 validation error, 2 degenerate or inconclusive
-result (Boundary verdicts, degenerate fits), 3 budget exceeded
-(including truncated covers).  Reports echo the resolved config and the
-constants block so no calibration drifts silently; with --no-timestamp
-two runs of the same config produce byte-identical output.
+The CLI only decodes flags and config into typed values (`_resolve`);
+the library function that consumes a value checks it, and each error
+class carries its exit code (`cuspdim.errors`).  Reports echo the
+resolved config and the constants block so no calibration drifts
+silently; with --no-timestamp two runs of the same config produce
+byte-identical output.
 """
 
 import argparse
@@ -21,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import covering, flows, haar, lattices
-from .errors import (
-    BudgetExceeded,
-    CuspDimError,
-    DegenerateFit,
-    EnumerationBudgetExceeded,
-    ValidationError,
-)
+from .errors import CuspDimError, EnumerationBudgetExceeded, ValidationError
 
 CONSTANT_DEFAULTS = {
     "K3": None,  # calibrated from the exact counts when not set
@@ -90,37 +85,39 @@ def _load_config(path):
     return obj
 
 
-def _resolve(args, config, name, default, cast, check=None):
-    """CLI flag > config file > default, with a field-named validation error."""
-    cli_val = getattr(args, name.replace("-", "_"), None)
-    raw = cli_val if cli_val is not None else config.get(name, default)
+REQUIRED = object()  # the default of a value that has none
+
+
+def _resolve(args, config, name, default, cast):
+    """CLI flag > config file > default; `cast` decodes a flag or config value, and
+    its TypeError, ValueError or KeyError becomes a ValidationError naming the field."""
+    raw = getattr(args, name.replace("-", "_"), None)
     if raw is None:
-        return None
+        raw = config.get(name)
+    if raw is None:
+        if default is REQUIRED:
+            raise ValidationError(name, "required")
+        return default
     try:
-        val = cast(raw)
-    except (TypeError, ValueError):
+        return cast(raw)
+    except (TypeError, ValueError, KeyError):
         raise ValidationError(name, f"cannot interpret {raw!r}")
-    if check is not None:
-        msg = check(val)
-        if msg:
-            raise ValidationError(name, msg)
-    return val
 
 
-def _weights_from_config(config):
-    wspec = config.get("weights")
-    if wspec is None:
-        return lattices.EQUAL_WEIGHTS_2D
-    try:
-        return lattices.WeightVector(tuple(wspec["i"]), tuple(wspec["j"]))
-    except (KeyError, TypeError):
-        raise ValidationError("weights", 'expected {"i": [...], "j": [...]}')
+def _int(raw):
+    """An int from an int, a decimal string or an integral float; anything else is a ValueError."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(raw)
+    return int(raw)
 
 
-def _basis_from_config(config, d):
-    raw = config.get("basis")
-    if raw is None:
-        return lattices.make_lattice(np.eye(d))
+def _weights(args, config):
+    """The config's weights {"i": [...], "j": [...]}, or the equal pair (1; 1)."""
+    return _resolve(args, config, "weights", lattices.EQUAL_WEIGHTS_2D, lambda w: lattices.WeightVector(tuple(w["i"]), tuple(w["j"])))
+
+
+def _basis(raw):
+    """A nested square matrix or a flat row-major list."""
     arr = np.asarray(raw, dtype=float)
     if arr.ndim == 1:
         side = int(round(math.sqrt(arr.size)))
@@ -128,38 +125,31 @@ def _basis_from_config(config, d):
     return lattices.make_lattice(arr)
 
 
-def _matrix_A(args, config, w):
-    """A as a w.m x w.n array: --A is a scalar (1 x 1); the config gives a number or a nested list."""
-    A = _resolve(args, config, "A", None, lambda raw: np.array(raw, dtype=float))
-    if A is None:
-        raise ValidationError("A", "required")
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    if A.shape != (w.m, w.n):
-        raise ValidationError("A", f"expected a {w.m} x {w.n} nested list, got shape {A.shape}")
-    return A
+def _lattice(args, config, w):
+    """The config's basis, or Z^d for the weights' d."""
+    lat = _resolve(args, config, "basis", None, _basis)
+    return lattices.make_lattice(np.eye(w.d)) if lat is None else lat
 
 
-def _constants(config):
+def _constants(raw):
+    """The constants block: known names only, each a number or null (calibrated)."""
     block = dict(CONSTANT_DEFAULTS)
-    for k, v in config.get("constants", {}).items():
+    for k, v in {**raw}.items():
         if k not in block:
             raise ValidationError(f"constants.{k}", "unknown constant")
-        block[k] = v
+        block[k] = None if v is None else float(v)
     return block
 
 
-def _positive(v):
-    return None if v > 0 else "must be positive"
+def _synthetic(raw):
+    """The counts and sizes of a `dim` fit given directly."""
+    return [_int(n) for n in raw["counts"]], [float(s) for s in raw["sizes"]]
 
 
-def _in_unit(v):
-    return None if 0 < v < 1 else "must be in (0, 1)"
-
-
-def _window(args, config):
-    """t-max and dt of the orbit grid; `flows.orbit_profile` checks them."""
-    return _resolve(args, config, "t-max", 15.0, float), _resolve(args, config, "dt", 0.01, float)
+def _orbit_args(args, config):
+    """A, t-max and dt of `bad` and `orbit`; `flows.orbit_profile` checks them."""
+    A = _resolve(args, config, "A", REQUIRED, lambda raw: np.asarray(raw, dtype=float))
+    return A, _resolve(args, config, "t-max", 15.0, float), _resolve(args, config, "dt", 0.01, float)
 
 
 # ---------------------------------------------------------------- commands
@@ -193,8 +183,8 @@ def _brute_minima(basis, w):
 
 
 def cmd_delta(args, config, consts):
-    w = _weights_from_config(config)
-    lat = _basis_from_config(config, w.d)
+    w = _weights(args, config)
+    lat = _lattice(args, config, w)
     sv_e = lattices.shortest_vector(lat, "euclid")
     sv_s = lattices.shortest_vector(lat, "sup")
     sv_w = lattices.shortest_vector_weighted(lat, w)
@@ -223,20 +213,20 @@ def cmd_delta(args, config, consts):
 
 
 def cmd_bad(args, config, consts):
-    w = _weights_from_config(config)
-    A = _matrix_A(args, config, w)
-    c = _resolve(args, config, "c", None, float)
-    if c is None:
-        raise ValidationError("c", "required")
-    t_max, dt = _window(args, config)
-    q_bound = _resolve(args, config, "q-bound", None, int, lambda v: None if v >= 1 else "must be >= 1")
-    profile = flows.orbit_profile(A, w, t_max, dt)
-    verdict = flows.classify_from_profile(profile, c, w.d)
+    w = _weights(args, config)
+    A, t_max, dt = _orbit_args(args, config)
+    c = _resolve(args, config, "c", REQUIRED, float)
+    q_bound = _resolve(args, config, "q-bound", None, _int)
+    # every check runs before the orbit, the costly part
+    flows.cusp_radius(c, w.d)
+    flows.time_grid(t_max, dt)
     if q_bound is None:
         # the orbit on [0, t_max] dips below sqrt(c) exactly when some
         # q <= sqrt(c) e^{t_max} has q dist(qA, Z) < c: match the predicate to it
         q_bound = math.ceil(math.sqrt(c) * math.exp(t_max))
     c_direct = flows.direct_bad_constant(A, w, q_bound)
+    profile = flows.orbit_profile(A, w, t_max, dt)
+    verdict = flows.classify_from_profile(profile, c, w.d)
     res = {
         "classification": verdict.classification,
         "c_target": c,
@@ -260,9 +250,8 @@ def cmd_bad(args, config, consts):
 
 
 def cmd_orbit(args, config, consts):
-    w = _weights_from_config(config)
-    A = _matrix_A(args, config, w)
-    t_max, dt = _window(args, config)
+    w = _weights(args, config)
+    A, t_max, dt = _orbit_args(args, config)
     profile = flows.orbit_profile(A, w, t_max, dt)
     res = {
         "min_delta": profile.min_delta,
@@ -276,11 +265,9 @@ def cmd_orbit(args, config, consts):
 
 
 def cmd_mu(args, config, consts):
-    w = _weights_from_config(config)
-    eps = _resolve(args, config, "eps", None, float, lambda v: None if v >= 0 else "must be nonnegative")
-    if eps is None:
-        raise ValidationError("eps", "required")
-    n = _resolve(args, config, "n-samples", 10**5, int)
+    w = _weights(args, config)
+    eps = _resolve(args, config, "eps", REQUIRED, float)
+    n = _resolve(args, config, "n-samples", 10**5, _int)
     est = haar.estimate_mu_U(eps, w, n, seed=args.seed_val, threads=args.threads_val)
     res = {
         "eps": est.eps,
@@ -299,15 +286,11 @@ def cmd_mu(args, config, consts):
 
 
 def cmd_nondiv(args, config, consts):
-    w = _weights_from_config(config)
-    lat = _basis_from_config(config, w.d)
-    t = _resolve(args, config, "t", 4.0, float, lambda v: None if v >= 0 else "must be nonnegative")
-    n = _resolve(args, config, "n-samples", 10**5, int)
-    grid_raw = getattr(args, "eps_grid", None) or config.get("eps-grid", "0.02,0.04,0.08,0.16")
-    try:
-        grid = [float(v) for v in str(grid_raw).split(",")]
-    except ValueError:
-        raise ValidationError("eps-grid", f"cannot parse {grid_raw!r}")
+    w = _weights(args, config)
+    lat = _lattice(args, config, w)
+    t = _resolve(args, config, "t", 4.0, float)
+    n = _resolve(args, config, "n-samples", 10**5, _int)
+    grid = _resolve(args, config, "eps-grid", [0.02, 0.04, 0.08, 0.16], lambda raw: [float(v) for v in str(raw).split(",")])
     fit = haar.nondivergence_profile(lat, w, t, grid, n, seed=args.seed_val, threads=args.threads_val)
     half = (fit.slope_ci[1] - fit.slope_ci[0]) / 2.0
     res = {
@@ -326,20 +309,20 @@ def cmd_nondiv(args, config, consts):
     return res, warns, 0, ("eps,fraction,stderr", rows)
 
 
-def _cover_params(args, config):
-    c = _resolve(args, config, "c", 0.25, float, _in_unit)
-    r = _resolve(args, config, "r", 0.5, float, _positive)
-    t = _resolve(args, config, "t", 1.5, float, _positive)
-    k_max = _resolve(args, config, "k-max", 6, int, lambda v: None if v >= 1 else "must be >= 1")
-    budget = _resolve(args, config, "budget", covering.BOX_BUDGET, int, _positive)
-    return c, r, t, k_max, budget
+def _survivor_cover(args, config):
+    """The weights, r and survivor cover of `cover` and `dim`; `covering.survivor_cover` checks the values."""
+    w = _weights(args, config)
+    lat = _lattice(args, config, w)
+    c = _resolve(args, config, "c", 0.25, float)
+    r = _resolve(args, config, "r", 0.5, float)
+    t = _resolve(args, config, "t", 1.5, float)
+    k_max = _resolve(args, config, "k-max", 6, _int)
+    budget = _resolve(args, config, "budget", covering.BOX_BUDGET, _int)
+    return w, r, covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
 
 
 def cmd_cover(args, config, consts):
-    w = _weights_from_config(config)
-    lat = _basis_from_config(config, w.d)
-    c, r, t, k_max, budget = _cover_params(args, config)
-    cover = covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
+    w, r, cover = _survivor_cover(args, config)
     tess = covering.tessellation_new(w.m * w.n, r)
     sweep_t = [0.5 * i for i in range(1, 9)]
     K3 = consts["K3"] if consts["K3"] is not None else covering.calibrate_K3(tess, w, sweep_t)
@@ -356,34 +339,27 @@ def cmd_cover(args, config, consts):
         "safety": cover.safety,
         "truncated": cover.truncated,
         "total_boxes": cover.total_boxes,
-        "levels": [
-            {"k": lv.k, "count": lv.count, "box_size": 2.0 * float(np.max(lv.half_sides))}
-            for lv in cover
-        ],
+        "levels": [{"k": lv.k, "count": lv.count, "box_size": lv.box_size} for lv in cover],
         "K3": K3,
         "count_bound_sweep": sweep,
     }
     warns = ["cover truncated at the box budget"] if cover.truncated else []
-    rows = [
-        f"{lv.k},{_fmt(2.0 * float(np.max(lv.half_sides)))},{lv.count}" for lv in cover
-    ]
+    rows = [f"{lv.k},{_fmt(lv.box_size)},{lv.count}" for lv in cover]
     return res, warns, 3 if cover.truncated else 0, ("level,box_size,count", rows)
 
 
 def cmd_dim(args, config, consts):
-    synth = config.get("synthetic")
+    if args.oracle:
+        # the oracle's budget check runs before any cover work
+        N = _resolve(args, config, "oracle-n", 4, _int)
+        depth = _resolve(args, config, "oracle-depth", 10, _int)
+        oracle = covering.cf_digit_oracle(N, depth)
+    synth = _resolve(args, config, "synthetic", None, _synthetic)
+    cover = None
     if synth is not None:
-        counts = synth.get("counts")
-        sizes = synth.get("sizes")
-        if counts is None or sizes is None or len(counts) != len(sizes):
-            raise ValidationError("synthetic", "needs matching counts and sizes arrays")
-        fit = covering.box_dimension_fit(counts, sizes, include_transient=True)
-        cover = None
+        fit = covering.box_dimension_fit(*synth, include_transient=True)
     else:
-        w = _weights_from_config(config)
-        lat = _basis_from_config(config, w.d)
-        c, r, t, k_max, budget = _cover_params(args, config)
-        cover = covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
+        _, _, cover = _survivor_cover(args, config)
         fit = covering.box_dimension_fit(cover)
     res = {
         "levels_used": fit.levels_used,
@@ -398,9 +374,6 @@ def cmd_dim(args, config, consts):
         warns.append("cover truncated at the box budget")
         code = 3
     if args.oracle:
-        N = _resolve(args, config, "oracle-n", 4, int, lambda v: None if v >= 1 else "must be >= 1")
-        depth = _resolve(args, config, "oracle-depth", 10, int, lambda v: None if v >= 4 else "must be >= 4")
-        oracle = covering.cf_digit_oracle(N, depth)
         res["oracle"] = {"N": N, "depth": depth, "estimate": oracle}
         res["oracle_gap"] = abs(fit.slope - oracle)
         res["oracle_within_005"] = bool(abs(fit.slope - oracle) <= 0.05)
@@ -410,10 +383,8 @@ def cmd_dim(args, config, consts):
 
 
 def cmd_oracle_cf(args, config, consts):
-    N = _resolve(args, config, "n-digit", None, int, lambda v: None if v >= 1 else "must be >= 1")
-    if N is None:
-        raise ValidationError("n-digit", "required")
-    depth = _resolve(args, config, "depth", 12, int, lambda v: None if v >= 4 else "must be >= 4")
+    N = _resolve(args, config, "n-digit", REQUIRED, _int)
+    depth = _resolve(args, config, "depth", 12, _int)
     est = covering.cf_digit_oracle(N, depth)
     prev = covering.cf_digit_oracle(N, depth - 1) if depth > 4 else None
     res = {"N": N, "depth": depth, "estimate": est}
@@ -480,25 +451,20 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         config = _load_config(args.config)
-        seed = _resolve(args, config, "seed", 0, int, lambda v: None if 0 <= v < 2**64 else "must be a 64-bit unsigned integer")
-        threads = _resolve(args, config, "threads", 1, int, _positive)
+        seed = _resolve(args, config, "seed", 0, _int)
+        if not 0 <= seed < 2**64:
+            raise ValidationError("seed", "must be a 64-bit unsigned integer")
+        threads = _resolve(args, config, "threads", 1, _int)
+        if threads < 1:
+            raise ValidationError("threads", "must be positive")
         args.seed_val = seed
         args.threads_val = threads
-        consts = _constants(config)
+        consts = _resolve(args, config, "constants", CONSTANT_DEFAULTS, _constants)
         fmt = args.format_ or config.get("format", "json")
         res, warns, code, (csv_head, csv_rows) = COMMANDS[args.command](args, config, consts)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DegenerateFit as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
     except CuspDimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
 
     if fmt == "csv":
         text = csv_head + "\n" + "\n".join(csv_rows) + "\n"

@@ -48,7 +48,7 @@ from .errors import (
     InvariantViolation,
     ValidationError,
 )
-from .flows import g_t, u_A
+from .flows import cusp_radius, g_t, u_A
 from .lattices import delta_weighted, make_lattice
 
 BOX_BUDGET = 10**7
@@ -162,6 +162,11 @@ class CoverLevel:
     centers: np.ndarray  # (count, L)
     half_sides: np.ndarray  # (L,) uniform within the level
     count: int
+
+    @property
+    def box_size(self):
+        """The longest side of the level's boxes."""
+        return 2.0 * float(np.max(self.half_sides))
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,7 @@ def _delta_at_centers(centers, T, x0, w, coeffs):
     G = g_t(w, T)
     out = np.empty(len(centers))
     for idx, hrow in enumerate(centers):
-        U = u_A(hrow.reshape(w.m, w.n), w.m, w.n)
+        U = u_A(hrow.reshape(w.m, w.n))
         out[idx] = delta_weighted(make_lattice(G @ U @ x0.basis), w)
     return out
 
@@ -302,21 +307,21 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET, safety=None):
     it (a check that raises InvariantViolation otherwise).  Hitting the
     total box budget truncates the run gracefully.
     """
-    if not 0 < c < 1:
-        raise ValidationError("c", "must be in (0, 1)")
+    eps = cusp_radius(c, w.d)
     if not 0 < r <= R_CAP:
         raise ValidationError("r", f"must be in (0, {R_CAP}]")
-    if t <= 0:
+    if not t > 0:
         raise ValidationError("t", "must be positive")
     if int(k_max) != k_max or k_max < 1:
-        raise ValidationError("k_max", "must be a positive integer")
+        raise ValidationError("k-max", "must be a positive integer")
+    if int(budget) != budget or budget < 1:
+        raise ValidationError("budget", "must be a positive integer")
     if x0.dim != w.d:
         raise DimensionMismatch(f"x0 dim {x0.dim} != weight dimension {w.d}")
     L = w.m * w.n
     tess = tessellation_new(L, r)
     side = tess.side
     lams = _lambdas(w)
-    eps = c ** (1.0 / w.d)
     if safety is None:
         safety = default_safety(w, side)
     thresh = eps / safety
@@ -393,18 +398,21 @@ def box_dimension_fit(levels, sizes=None, include_transient=False):
     """Least-squares slope of log(count) against log(1/size).
 
     `levels` is a CoverResult/list of CoverLevel, or a plain list of
-    counts paired with explicit `sizes`.  Level 0 (the single starting
-    cube) is excluded as a transient unless include_transient is set.
+    counts paired with explicit `sizes`, one positive size per count.
+    Level 0 (the single starting cube) is excluded as a transient unless
+    include_transient is set.
     Needs >= 3 usable levels with positive counts.
     """
     if sizes is None:
         ks = [lv.k for lv in levels]
         counts = [lv.count for lv in levels]
-        sizes = [2.0 * float(np.max(lv.half_sides)) for lv in levels]
+        sizes = [lv.box_size for lv in levels]
     else:
         ks = list(range(len(levels)))
         counts = [int(getattr(lv, "count", lv)) for lv in levels]
         sizes = [float(s) for s in sizes]
+        if len(sizes) != len(counts) or not all(0 < s < math.inf for s in sizes):
+            raise ValidationError("sizes", "need one positive finite size per count")
     pts = []
     for k, cnt, sz in zip(ks, counts, sizes):
         if not include_transient and k == 0:

@@ -1,12 +1,16 @@
 """Exception types shared across the package.
 
-Every error that a caller can act on gets its own class; the CLI maps
-them onto exit codes (validation 1, degenerate/inconclusive 2, budget 3).
+Every error that a caller can act on gets its own class, and each class
+carries the CLI's exit code and stderr label: 1 "error" (invalid input,
+package defects), 2 "degenerate" (inconclusive fits), 3 "budget exceeded".
 """
 
 
 class CuspDimError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
+    label = "error"
 
 
 class ValidationError(CuspDimError):
@@ -49,9 +53,15 @@ class InvariantViolation(CuspDimError):
 class DegenerateFit(CuspDimError):
     """Too few usable points for a regression."""
 
+    exit_code = 2
+    label = "degenerate"
+
 
 class BudgetExceeded(CuspDimError):
     """A configured work cap was hit before the computation finished."""
+
+    exit_code = 3
+    label = "budget exceeded"
 
 
 class EnumerationBudgetExceeded(BudgetExceeded):

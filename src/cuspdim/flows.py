@@ -6,7 +6,7 @@ acts on lattices; the orbit of u_A Z^d avoids the cusp region
 approximable at level c = eps^d.  Both sides of that equivalence are
 computable here:
 
-  * orbit_profile         - delta_w along a time grid (exact per sample)
+  * orbit_profile         - delta_w along `time_grid` (exact per sample)
   * direct_bad_constant   - brute-force inf of ||Aq+p||_i ||q||_j
   * classify_from_profile - window-limited verdict with an explicit
                             continuity margin, Boundary when inconclusive
@@ -59,13 +59,10 @@ def g_t(w, t):
     return np.diag(ex)
 
 
-def u_A(A, m=None, n=None):
+def u_A(A):
     """Block-unipotent embedding of an m x n matrix: [[I_m, A], [0, I_n]]."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if m is None:
-        m, n = A.shape
-    if A.shape != (m, n):
-        raise ValidationError("A", f"expected shape {(m, n)}, got {A.shape}")
+    m, n = A.shape
     U = np.eye(m + n)
     U[:m, m:] = A
     return U
@@ -108,13 +105,10 @@ def _profile_fastpath(a, ts):
     return np.minimum(et, vals.min(axis=1))
 
 
-def orbit_profile(A, w, t_max=15.0, dt=0.01):
-    """Sampled trajectory t -> delta_w(g_t u_A Z^d) with a continuity margin.
+def time_grid(t_max, dt):
+    """The orbit's sample times 0, dt, ..., t_max.
 
-    Between grid points the quasinorm of any fixed vector moves by at
-    most exp(max(1/m, 1/n) dt), so min_delta is certified up to that
-    factor.  The grid [0, t_max] in steps dt must keep e^t finite and
-    hold at most MAX_SAMPLES steps.
+    The grid must keep e^t finite and hold at most MAX_SAMPLES steps.
     """
     t_max, dt = float(t_max), float(dt)
     if not t_max > 0:
@@ -127,12 +121,29 @@ def orbit_profile(A, w, t_max=15.0, dt=0.01):
         raise ValidationError("t-max", f"t-max / dt exceeds {MAX_SAMPLES} samples")
     if dt > t_max:
         raise ValidationError("dt", "must not exceed t_max")
-    ts = np.arange(0.0, t_max + dt * 0.5, dt)
+    return np.arange(0.0, t_max + dt * 0.5, dt)
+
+
+def cusp_radius(c, d):
+    """The radius c^(1/d) of the cusp region U that level c of bad approximability avoids."""
+    if not 0 < c < 1:
+        raise ValidationError("c", "must be in (0, 1)")
+    return c ** (1.0 / d)
+
+
+def orbit_profile(A, w, t_max=15.0, dt=0.01):
+    """Sampled trajectory t -> delta_w(g_t u_A Z^d) on `time_grid(t_max, dt)`.
+
+    Between grid points the quasinorm of any fixed vector moves by at
+    most exp(max(1/m, 1/n) dt), so min_delta is certified up to that
+    factor.
+    """
+    ts = time_grid(t_max, dt)
     A = _as_matrix(A, w)
     if w.d == 2 and w.equal:
         deltas = _profile_fastpath(float(A[0, 0]), ts)
     else:
-        U = u_A(A, w.m, w.n)
+        U = u_A(A)
         deltas = np.array([delta_weighted(make_lattice(g_t(w, t) @ U), w) for t in ts])
     k = int(np.argmin(deltas))
     margin = float(np.exp(max(1.0 / w.m, 1.0 / w.n) * dt))
@@ -146,10 +157,12 @@ def orbit_profile(A, w, t_max=15.0, dt=0.01):
 
 
 def _as_matrix(A, w):
-    """A as a finite w.m x w.n float array."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    """A as a finite w.m x w.n float array; a scalar is 1 x 1, other shapes must match."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 0:
+        A = A.reshape(1, 1)
     if A.shape != (w.m, w.n):
-        raise ValidationError("A", f"expected shape {(w.m, w.n)}, got {A.shape}")
+        raise ValidationError("A", f"expected a {w.m} x {w.n} nested list, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValidationError("A", "entries must be finite")
     return A
@@ -182,7 +195,7 @@ def direct_bad_constant(A, w, q_bound):
     exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
     """
     if q_bound < 1:
-        raise ValidationError("q_bound", "must be >= 1")
+        raise ValidationError("q-bound", "must be >= 1")
     A = _as_matrix(A, w)
     q_bound = int(q_bound)
     cells = q_bound if w.n == 1 else (2 * q_bound + 1) ** w.n - 1
@@ -214,9 +227,7 @@ def classify_from_profile(profile, c, d):
     Boundary rather than guessing when the evidence is within the
     margin of the threshold.
     """
-    if not 0 < c < 1:
-        raise ValidationError("c", "must be in (0, 1)")
-    eps = c ** (1.0 / d)
+    eps = cusp_radius(c, d)
     m = profile.continuity_margin
     if profile.min_delta / m >= eps:
         cls = "Bad"

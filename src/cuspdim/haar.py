@@ -205,10 +205,8 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1, norm="quasi", theta_mode="
     "zero" skips the rotation (only legitimate for euclid).
     """
     _require_d2(w)
-    if eps < 0:
+    if not eps >= 0:
         raise ValidationError("eps", "must be nonnegative")
-    if n_samples < 1:
-        raise ValidationError("n-samples", "must be positive")
     if norm not in ("quasi", "euclid"):
         raise ValidationError("norm", f"unknown norm {norm!r}")
     knorm = "sup" if norm == "quasi" else "euclid"
@@ -242,8 +240,6 @@ def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
     The stated density integrates to Pr[y >= c] = 3/(c pi) for c >= 1
     (the x-strip has width 1 and the domain mass is pi/3).
     """
-    if n_samples < 1:
-        raise ValidationError("n-samples", "must be positive")
 
     def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
@@ -266,20 +262,20 @@ def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
 
 
 def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
-    """Fractions of h in B^P(2) with delta(g_t u_h x, sup) < eps, with a log-log fit.
+    """Fractions of h in B^P(2) with delta(g_t u_h x, sup) < eps (t >= 0), with a log-log fit.
 
     h is uniform on the cube {||A||_inf < 2}; the fractions share one
     sample set across the eps grid (common random numbers), so they are
     monotone in eps by construction.
     """
     _require_d2(w)
-    if n_samples < 1:
-        raise ValidationError("n-samples", "must be positive")
+    if not t >= 0:
+        raise ValidationError("t", "must be nonnegative")
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 3:
-        raise ValidationError("eps_grid", "need at least 3 epsilon values")
+        raise ValidationError("eps-grid", "need at least 3 epsilon values")
     if min(eps_grid) <= 0:
-        raise ValidationError("eps_grid", "epsilons must be positive")
+        raise ValidationError("eps-grid", "epsilons must be positive")
     B = x.basis
     log_b = math.log(float(np.max(np.abs(B))))
     # entries of g_t u_h B with |h| <= 2 stay below 3 max|B| e^|t|, so the squared

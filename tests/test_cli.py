@@ -10,7 +10,8 @@ import pytest
 import cuspdim as cd
 from cuspdim import cli
 
-SCHEMA = json.load(open("docs/report.schema.json"))
+with open("docs/report.schema.json") as f:
+    SCHEMA = json.load(f)
 
 
 def run(capsys, *argv):
@@ -77,6 +78,9 @@ def test_validation_exit_1_names_field(capsys):
     code = cli.main(["mu", "--eps", "-1"])
     err = capsys.readouterr().err
     assert code == 1 and "eps" in err
+    code = cli.main(["mu", "--eps", "nan"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: eps:")
     code = cli.main(["bad", "--c", "0.1"])
     err = capsys.readouterr().err
     assert code == 1 and "A" in err
@@ -134,6 +138,26 @@ def test_weighted_A_shape_checked(tmp_path, capsys, command, A):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: A:")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the costly stage ran before the checks")
+
+
+@pytest.mark.parametrize("c, code", [(1.5, 1), (0.05, 3)])
+def test_weighted_bad_checks_before_the_orbit(tmp_path, capsys, monkeypatch, c, code):
+    """c, the window and the default q-bound's budget are refused before the orbit is computed."""
+    monkeypatch.setattr(cli.flows, "orbit_profile", _refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_WEIGHTED, "c": c}))
+    assert cli.main(["bad", "--config", str(cfg)]) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_dim_oracle_budget_before_the_cover(capsys, monkeypatch):
+    monkeypatch.setattr(cli.covering, "survivor_cover", _refuse)
+    assert cli.main(["dim", "--oracle", "--oracle-n", "10", "--oracle-depth", "9"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_weighted_bad_matches_direct_constant(tmp_path, capsys):
@@ -312,6 +336,56 @@ def test_config_file_merge_and_flag_precedence(tmp_path, capsys):
     # CLI flag beats the config value
     code, rep = run_json(capsys, "bad", "--config", str(cfg), "--A", "0.6180339887498949", "--c", "0.3")
     assert rep["results"]["classification"] == "Bad"
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("delta", {"basis": [1, 2, 3]}, "basis"),
+        ("delta", {"basis": [["x", 0], [0, 1]]}, "basis"),
+        ("delta", {"basis": "zz"}, "basis"),
+        ("delta", {"weights": {"i": "ab", "j": [1]}}, "weights"),
+        ("dim", {"synthetic": [1]}, "synthetic"),
+        ("dim", {"synthetic": {"counts": [2, 4, 8], "sizes": "abc"}}, "synthetic"),
+        ("dim", {"synthetic": {"counts": [2, 4, 8], "sizes": [0.5, 0.0, 0.125]}}, "sizes"),
+        ("dim", {"synthetic": {"counts": [2, 4, 8], "sizes": [0.5, -0.25, 0.125]}}, "sizes"),
+        ("delta", {"constants": [1]}, "constants"),
+    ],
+)
+def test_malformed_config_exit_1(tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, field, extra",
+    [
+        ("bad", "q-bound", ["--A", "0.5", "--c", "0.1"]),
+        ("mu", "n-samples", ["--eps", "0.1"]),
+        ("cover", "k-max", []),
+        ("cover", "budget", []),
+        ("oracle-cf", "n-digit", []),
+        ("oracle-cf", "depth", ["--n-digit", "2"]),
+        ("dim", "oracle-n", ["--oracle"]),
+        ("dim", "oracle-depth", ["--oracle"]),
+        ("oracle-cf", "seed", ["--n-digit", "2"]),
+        ("oracle-cf", "threads", ["--n-digit", "2"]),
+    ],
+)
+def test_non_integral_int_exit_1(tmp_path, capsys, command, field, extra, form):
+    """4.5 for an integer field exits 1, from a flag and from the config alike (never truncated to 4)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 4.5} if form == "config" else {}))
+    flag = [f"--{field}", "4.5"] if form == "flag" else []
+    code = cli.main([command, *flag, *extra, "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
 def test_unknown_constant_rejected(tmp_path, capsys):

@@ -221,14 +221,19 @@ def test_budget_truncation():
 
 def test_survivor_validation():
     x0 = cd.make_lattice(np.eye(2))
-    with pytest.raises(cd.ValidationError):
-        cd.survivor_cover(x0, W2, 1.5, 0.5, 2.0, 2)
-    with pytest.raises(cd.ValidationError):
-        cd.survivor_cover(x0, W2, 0.25, 5.0, 2.0, 2)  # r above the cap
-    with pytest.raises(cd.ValidationError):
-        cd.survivor_cover(x0, W2, 0.25, 0.5, -1.0, 2)
-    with pytest.raises(cd.ValidationError):
-        cd.survivor_cover(x0, W2, 0.25, 0.5, 2.0, 0)
+    for args, budget, field in [
+        ((1.5, 0.5, 2.0, 2), 100, "c"),
+        ((0.25, 5.0, 2.0, 2), 100, "r"),  # r above the cap
+        ((0.25, -0.5, 2.0, 2), 100, "r"),
+        ((0.25, 0.5, -1.0, 2), 100, "t"),
+        ((0.25, 0.5, math.nan, 2), 100, "t"),
+        ((0.25, 0.5, 2.0, 0), 100, "k-max"),
+        ((0.25, 0.5, 2.0, 2), 0, "budget"),
+        ((0.25, 0.5, 2.0, 2), 2.5, "budget"),
+    ]:
+        with pytest.raises(cd.ValidationError) as err:
+            cd.survivor_cover(x0, W2, *args, budget=budget)
+        assert err.value.field == field
 
 
 def test_general_weights_cover_uses_x0():
@@ -256,6 +261,11 @@ def test_cantor_fit_exact():
 def test_fit_degenerate():
     with pytest.raises(cd.DegenerateFit):
         cd.box_dimension_fit([2, 4], [0.5, 0.25], include_transient=True)
+    # one positive, finite size per count
+    for sizes in ([0.5, 0.25], [0.5, 0.0, 0.125], [0.5, -0.25, 0.125], [0.5, math.inf, 0.125]):
+        with pytest.raises(cd.ValidationError) as err:
+            cd.box_dimension_fit([2, 4, 8], sizes, include_transient=True)
+        assert err.value.field == "sizes"
 
 
 def test_fit_excludes_transient_level(cover_c025):
@@ -286,7 +296,9 @@ def test_cf_oracle_monotone_in_N():
 def test_cf_oracle_budget():
     with pytest.raises(cd.BudgetExceeded):
         cd.cf_digit_oracle(10, 8)
-    with pytest.raises(cd.ValidationError):
+    with pytest.raises(cd.ValidationError) as err:
         cd.cf_digit_oracle(0, 8)
-    with pytest.raises(cd.ValidationError):
+    assert err.value.field == "N"
+    with pytest.raises(cd.ValidationError) as err:
         cd.cf_digit_oracle(3, 3)
+    assert err.value.field == "depth"

@@ -27,7 +27,7 @@ def test_g_t_entries():
 
 def test_u_A_block():
     A = np.array([[0.25, -1.5]])
-    u = cd.u_A(A, m=1, n=2)
+    u = cd.u_A(A)
     assert u.shape == (3, 3)
     assert np.allclose(u[:1, 1:], A)
     assert np.allclose(u - np.eye(3) - np.pad(A, ((0, 2), (1, 0))), 0.0)
@@ -322,3 +322,16 @@ def test_window_and_c_validation():
     for A in (math.nan, math.inf):
         with pytest.raises(cd.ValidationError):
             cd.orbit_profile(A, W2, 5.0, 0.01)
+    # c^(1/d) is the cusp radius for c in (0, 1) only
+    assert cd.flows.cusp_radius(0.25, 2) == 0.5
+    with pytest.raises(cd.ValidationError) as err:
+        cd.flows.cusp_radius(math.nan, 2)
+    assert err.value.field == "c"
+    with pytest.raises(cd.ValidationError) as err:
+        cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 0)
+    assert err.value.field == "q-bound"
+    # a scalar A is 1 x 1; any other shape must be exactly m x n
+    for A in ([0.41, 0.77], [[0.41], [0.77]], 0.5):
+        with pytest.raises(cd.ValidationError) as err:
+            cd.orbit_profile(A, W_BK, 2.0, 0.5)
+        assert err.value.field == "A"

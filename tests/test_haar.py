@@ -195,6 +195,14 @@ def test_nondivergence_t_limit_and_accuracy_warning():
     with pytest.raises(cd.ValidationError) as err:
         cd.nondivergence_profile(x0, W2, 800.0, grid, 100, seed=0)
     assert err.value.field == "t"
+    for t in (-1.0, math.nan):
+        with pytest.raises(cd.ValidationError) as err:
+            cd.nondivergence_profile(x0, W2, t, grid, 100, seed=0)
+        assert err.value.field == "t"
+    for bad_grid in ([0.02, 0.04], [0.02, 0.04, -0.08]):
+        with pytest.raises(cd.ValidationError) as err:
+            cd.nondivergence_profile(x0, W2, 4.0, bad_grid, 100, seed=0)
+        assert err.value.field == "eps-grid"
     # roundoff e^{2t} 2^-52 against 1e-3 min(eps): 3.6e-11 at t = 6, 2.3e-2 at t = 20
     assert cd.nondivergence_profile(x0, W2, 6.0, grid, 2000, seed=0).warning is None
     warn = cd.nondivergence_profile(x0, W2, 20.0, grid, 2000, seed=0).warning
