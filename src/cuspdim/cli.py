@@ -141,6 +141,13 @@ def _constants(raw):
     return block
 
 
+def _format(raw):
+    """"json" or "csv"; anything else is a ValueError."""
+    if raw not in ("json", "csv"):
+        raise ValueError(raw)
+    return raw
+
+
 def _synthetic(raw):
     """The counts and sizes of a `dim` fit given directly."""
     return [_int(n) for n in raw["counts"]], [float(s) for s in raw["sizes"]]
@@ -290,7 +297,7 @@ def cmd_nondiv(args, config, consts):
     lat = _lattice(args, config, w)
     t = _resolve(args, config, "t", 4.0, float)
     n = _resolve(args, config, "n-samples", 10**5, _int)
-    grid = _resolve(args, config, "eps-grid", [0.02, 0.04, 0.08, 0.16], lambda raw: [float(v) for v in str(raw).split(",")])
+    grid = _resolve(args, config, "eps-grid", [0.02, 0.04, 0.08, 0.16], lambda raw: [float(v) for v in (raw if isinstance(raw, list) else str(raw).split(","))])
     fit = haar.nondivergence_profile(lat, w, t, grid, n, seed=args.seed_val, threads=args.threads_val)
     half = (fit.slope_ci[1] - fit.slope_ci[0]) / 2.0
     res = {
@@ -357,7 +364,7 @@ def cmd_dim(args, config, consts):
     synth = _resolve(args, config, "synthetic", None, _synthetic)
     cover = None
     if synth is not None:
-        fit = covering.box_dimension_fit(*synth, include_transient=True)
+        fit = covering.box_dimension_fit(*synth)
     else:
         _, _, cover = _survivor_cover(args, config)
         fit = covering.box_dimension_fit(cover)
@@ -407,19 +414,24 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as any invalid input does; argparse's own 2 is the degenerate-result code here."""
+
+    def error(self, message):
+        raise ValidationError("usage", message)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--seed", default=None, help="64-bit unsigned master seed")
     common.add_argument("--threads", default=None, help="worker count (results independent of it)")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument("--format", default=None, choices=["json", "csv"], dest="format_")
+    common.add_argument("--format", default=None, help="json (default) or csv")
     common.add_argument("--no-timestamp", action="store_true")
-    p = argparse.ArgumentParser(prog="cuspdim", description=__doc__)
+    p = _Parser(prog="cuspdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    sp = {}
-    for name in COMMANDS:
-        sp[name] = sub.add_parser(name, parents=[common])
+    sp = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
     for flag, names in [
         ("--A", ["bad", "orbit"]),
         ("--c", ["bad", "cover", "dim"]),
@@ -446,10 +458,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args.config)
         seed = _resolve(args, config, "seed", 0, _int)
         if not 0 <= seed < 2**64:
@@ -460,7 +471,7 @@ def main(argv=None):
         args.seed_val = seed
         args.threads_val = threads
         consts = _resolve(args, config, "constants", CONSTANT_DEFAULTS, _constants)
-        fmt = args.format_ or config.get("format", "json")
+        fmt = _resolve(args, config, "format", "json", _format)
         res, warns, code, (csv_head, csv_rows) = COMMANDS[args.command](args, config, consts)
     except CuspDimError as e:
         print(f"{e.label}: {e}", file=sys.stderr)

@@ -290,7 +290,7 @@ def _delta_at_centers(centers, T, x0, w, coeffs):
     return out
 
 
-def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET, safety=None):
+def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     """Recursive Bowen-box cover of the h whose orbit avoids U(c^(1/d)).
 
     Level 0 is the single cube V_r = (0, side)^L.  Level k+1 refines
@@ -298,8 +298,8 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET, safety=None):
     keeps a sub-box unless its center certifiably enters U at time
     (k+1) t: survive iff delta_w(g_{(k+1)t} u_center x0) >= eps/safety
     (at d = 2, equal weights, each child's reduction starts from the
-    reduced integer basis of its parent).
-    The safety factor covers the distance from the center to any point
+    reduced integer basis of its parent).  The safety factor,
+    `default_safety`, covers the distance from the center to any point
     of the box after conjugation, so discarding is sound (conservative
     keep).  Children are placed on the refined grid from the parent's
     low corner, the last translate per axis snapped inward, so level
@@ -322,8 +322,7 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET, safety=None):
     tess = tessellation_new(L, r)
     side = tess.side
     lams = _lambdas(w)
-    if safety is None:
-        safety = default_safety(w, side)
+    safety = default_safety(w, side)
     thresh = eps / safety
 
     lows = np.zeros((1, L))
@@ -394,29 +393,28 @@ class DimensionEstimate:
     r2: float
 
 
-def box_dimension_fit(levels, sizes=None, include_transient=False):
+def box_dimension_fit(levels, sizes=None):
     """Least-squares slope of log(count) against log(1/size).
 
-    `levels` is a CoverResult/list of CoverLevel, or a plain list of
-    counts paired with explicit `sizes`, one positive size per count.
-    Level 0 (the single starting cube) is excluded as a transient unless
-    include_transient is set.
+    `levels` is a CoverResult/list of CoverLevel, whose level 0 (the
+    single starting cube) is excluded as a transient, or a plain list of
+    counts paired with explicit `sizes`, one positive size per count,
+    all of which are fitted.
     Needs >= 3 usable levels with positive counts.
     """
     if sizes is None:
+        levels = [lv for lv in levels if lv.k > 0]
         ks = [lv.k for lv in levels]
         counts = [lv.count for lv in levels]
         sizes = [lv.box_size for lv in levels]
     else:
         ks = list(range(len(levels)))
-        counts = [int(getattr(lv, "count", lv)) for lv in levels]
+        counts = [int(n) for n in levels]
         sizes = [float(s) for s in sizes]
         if len(sizes) != len(counts) or not all(0 < s < math.inf for s in sizes):
             raise ValidationError("sizes", "need one positive finite size per count")
     pts = []
     for k, cnt, sz in zip(ks, counts, sizes):
-        if not include_transient and k == 0:
-            continue
         if cnt <= 0:
             break
         pts.append((k, math.log(1.0 / sz), math.log(cnt)))

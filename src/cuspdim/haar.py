@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as tdist
+from scipy.special import stdtrit
 
 from . import rng as rngmod
 from .errors import (
@@ -46,6 +46,7 @@ Y_MIN = math.sqrt(3.0) / 2.0
 ACCEPT_RATE = (math.pi / 3.0) / (2.0 / math.sqrt(3.0))  # ~0.906900
 MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
+Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,9 @@ def _propose(rng, count):
     return x, y
 
 
-def sample_batch(rng, count, cap=None):
-    """Vectorized rejection sampler; returns (x, y, theta, n_proposed)."""
-    if cap is None:
-        cap = 10**6 + 12 * count
+def sample_batch(rng, count):
+    """Vectorized rejection sampler; returns (x, y, theta, n_proposed); stalls past 10^6 + 12 count proposals."""
+    cap = 10**6 + 12 * count
     xs, ys = [], []
     have = 0
     proposed = 0
@@ -197,26 +197,18 @@ def siegel_prediction(eps, w):
     return (2.0**w.d) * eps**w.d / (2.0 * (math.pi**2 / 6.0))  # zeta(2) = pi^2 / 6
 
 
-def estimate_mu_U(eps, w, n_samples, seed, threads=1, norm="quasi", theta_mode="sample"):
+def estimate_mu_U(eps, w, n_samples, seed, threads=1):
     """Monte Carlo estimate of mu({delta_w < eps}) with the Siegel prediction.
 
-    norm="quasi" uses the weighted quasinorm (= sup norm at d = 2);
-    norm="euclid" is for rotation-invariance diagnostics.  theta_mode=
-    "zero" skips the rotation (only legitimate for euclid).
+    At d = 2 the weighted quasinorm is the sup norm.
     """
     _require_d2(w)
     if not eps >= 0:
         raise ValidationError("eps", "must be nonnegative")
-    if norm not in ("quasi", "euclid"):
-        raise ValidationError("norm", f"unknown norm {norm!r}")
-    knorm = "sup" if norm == "quasi" else "euclid"
 
     def work(rng, count):
         x, y, theta, _p = sample_batch(rng, count)
-        if theta_mode == "zero":
-            theta = np.zeros_like(theta)
-        d = delta2_batch(_bases(x, y, theta), knorm)
-        return int(np.count_nonzero(d < eps))
+        return int(np.count_nonzero(delta2_batch(_bases(x, y, theta)) < eps))
 
     hits = sum(rngmod.chunked_map(work, int(n_samples), seed, stream_id=1, threads=threads))
     mean = hits / n_samples
@@ -234,7 +226,7 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1, norm="quasi", theta_mode="
     )
 
 
-def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
+def sampler_calibration(n_samples, seed, threads=1):
     """Empirical tail Pr[y >= c] and rejection acceptance rate.
 
     The stated density integrates to Pr[y >= c] = 3/(c pi) for c >= 1
@@ -243,7 +235,7 @@ def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
 
     def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
-        tail = [int(np.count_nonzero(y >= cut)) for cut in y_cuts]
+        tail = [int(np.count_nonzero(y >= cut)) for cut in Y_CUTS]
         dmax = float(np.max(delta2_batch(_bases(x, y, theta), "euclid")))
         return tail, proposed, count, dmax
 
@@ -252,9 +244,9 @@ def sampler_calibration(n_samples, seed, threads=1, y_cuts=(1.5, 2.0, 3.0)):
     proposed = sum(o[1] for o in out)
     accepted = sum(o[2] for o in out)
     return {
-        "y_cuts": list(y_cuts),
+        "y_cuts": list(Y_CUTS),
         "tail_fractions": (tails / n_samples).tolist(),
-        "tail_analytic": [3.0 / (c * math.pi) for c in y_cuts],
+        "tail_analytic": [3.0 / (c * math.pi) for c in Y_CUTS],
         "acceptance_rate": accepted / proposed,
         "max_delta_euclid": max(o[3] for o in out),
         "n_samples": int(n_samples),
@@ -316,7 +308,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     resid = Y - (slope * X + intercept)
     dof = max(len(X) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((X - X.mean()) ** 2)))
-    half = float(tdist.ppf(0.975, dof)) * se
+    half = float(stdtrit(dof, 0.975)) * se
     return ScalingFit(
         eps_grid=list(eps_grid),
         fractions=fractions.tolist(),

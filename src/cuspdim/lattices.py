@@ -12,10 +12,10 @@ roundoff.  The box bound holds for any basis of the lattice, so the
 basis is first LLL-reduced (Lenstra-Lenstra-Lovasz 1982): reduction
 changes the size of the box, and so the cost, but not the answer.
 Along a diagonal flow the raw box grows like e^{2T}; the reduced one
-stays small.  Both minimizers run the same enumeration loop and differ
-only in their search box and their norm; `quasinorm` is the one-row
-case of the row-wise quasinorm the loop uses.  d <= 5 keeps the boxes
-tractable.
+stays small.  The sup norm is the quasinorm of the weights (1; 1/(d-1),
+..., 1/(d-1)), and the euclidean minimizer runs the same loop with its
+own box and norm; `quasinorm` is the one-row case of the row-wise
+quasinorm the loop uses.  d <= 5 keeps the boxes tractable.
 """
 
 from dataclasses import dataclass
@@ -127,27 +127,23 @@ def make_lattice(basis, tol=DET_TOL):
     return Lattice(dim=d, basis=basis)
 
 
-def _vec_norm(V, norm):
-    if norm == "euclid":
-        return np.sqrt(np.sum(V * V, axis=1))
-    if norm == "sup":
-        return np.max(np.abs(V), axis=1)
-    raise ValidationError("norm", f"unknown norm {norm!r}")
+def _euclid(V):
+    return np.sqrt(np.sum(V * V, axis=1))
 
 
-def _iter_coeff_box(basis, bounds, budget):
+def _iter_coeff_box(basis, bounds):
     """Yield (C, V) slabs over the integer box |c_k| <= bounds[k], origin removed.
 
     Slabbed along axis 0 so memory stays bounded while the total cell
-    count is only limited by `budget`.
+    count is only limited by CELL_BUDGET.
     """
     bounds = [int(b) for b in bounds]
     cells = 1
     for b in bounds:
         cells *= 2 * b + 1
-    if cells > budget:
+    if cells > CELL_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"coefficient box has {cells} cells, budget is {budget}"
+            f"coefficient box has {cells} cells, budget is {CELL_BUDGET}"
         )
     d = len(bounds)
     tail_axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[1:]]
@@ -220,7 +216,7 @@ def _lll_reduce(B):
     return Br, M
 
 
-def _enumerate_min(B, Br, M, bounds, budget, lengths_of):
+def _enumerate_min(B, Br, M, bounds, lengths_of):
     """Minimizer over the reduced-coefficient box, reported on the raw basis.
 
     Each slab of the box over the reduced basis Br = B M is cut loosely
@@ -233,7 +229,7 @@ def _enumerate_min(B, Br, M, bounds, budget, lengths_of):
         raise CoefficientBudgetExceeded("raw coefficients of the search box exceed 2^53")
     best_len = np.inf
     keep_C = []
-    for C, V in _iter_coeff_box(Br, bounds, budget):
+    for C, V in _iter_coeff_box(Br, bounds):
         lengths = lengths_of(V)
         best_len = min(best_len, float(np.min(lengths)))
         keep_C.append(C[lengths <= best_len * (1.0 + _PRECUT)])
@@ -243,30 +239,31 @@ def _enumerate_min(B, Br, M, bounds, budget, lengths_of):
     return ShortVec(coeffs=coeffs, vec=vec, length=length)
 
 
-def shortest_vector(lat, norm="euclid", budget=CELL_BUDGET):
+def shortest_vector(lat, norm="euclid"):
     """Exact shortest nonzero vector of the lattice in the given norm.
 
-    The search box comes from an incumbent on the LLL-reduced basis
-    Br = B M: its shortest column has norm R, and any minimizer v
-    satisfies |c_k| = |(Br^-1 v)_k| <= row_k(Br^-1) applied to the
-    norm-R ball.  The coefficients reported are those on B.
+    "sup" is the quasinorm of the weights (1; 1/(d-1), ..., 1/(d-1)),
+    whose exponents are all exactly 1 for d <= 5.  For "euclid" the box
+    comes from the shortest column R of the LLL-reduced basis Br = B M:
+    |c_k| = |(Br^-1 v)_k| <= |row_k(Br^-1)| R by Cauchy-Schwarz.  The
+    coefficients reported are those on B.
     """
+    if norm == "sup":
+        d = lat.dim
+        return shortest_vector_weighted(lat, WeightVector((1.0,), (1.0 / (d - 1),) * (d - 1)))
+    if norm != "euclid":
+        raise ValidationError("norm", f"unknown norm {norm!r}")
     B = lat.basis
     Br, M = _lll_reduce(B)
     Brinv = np.linalg.inv(Br)
-    incumbent = float(np.min(_vec_norm(Br.T, norm)))
-    if norm == "euclid":
-        row = np.sqrt(np.sum(Brinv * Brinv, axis=1))
-    else:
-        row = np.sum(np.abs(Brinv), axis=1)
-    bounds = np.floor(row * incumbent + 1e-9).astype(int)
-    bounds = np.maximum(bounds, 1)
-    return _enumerate_min(B, Br, M, bounds, budget, lambda V: _vec_norm(V, norm))
+    incumbent = float(np.min(_euclid(Br.T)))
+    bounds = np.maximum(np.floor(_euclid(Brinv) * incumbent + 1e-9).astype(int), 1)
+    return _enumerate_min(B, Br, M, bounds, _euclid)
 
 
-def delta(lat, norm="sup", budget=CELL_BUDGET):
+def delta(lat, norm="sup"):
     """Cusp function: length of the shortest nonzero vector."""
-    return shortest_vector(lat, norm, budget).length
+    return shortest_vector(lat, norm).length
 
 
 def quasinorm(v, w):
@@ -289,7 +286,7 @@ def _quasinorm_rows(V, w):
     return np.max(np.concatenate([p**ei, q**ej], axis=1), axis=1)
 
 
-def shortest_vector_weighted(lat, w, budget=CELL_BUDGET):
+def shortest_vector_weighted(lat, w):
     """Exact quasinorm minimizer.
 
     Every unimodular lattice has a nonzero vector of quasinorm <= 1
@@ -309,12 +306,11 @@ def shortest_vector_weighted(lat, w, budget=CELL_BUDGET):
     amb = np.array(
         [b ** (w.m * ik) for ik in w.i] + [b ** (w.n * jl) for jl in w.j]
     )
-    bounds = np.floor(np.abs(Brinv) @ amb + 1e-9).astype(int)
-    bounds = np.maximum(bounds, 1)
-    return _enumerate_min(B, Br, M, bounds, budget, lambda V: _quasinorm_rows(V, w))
+    bounds = np.maximum(np.floor(np.abs(Brinv) @ amb + 1e-9).astype(int), 1)
+    return _enumerate_min(B, Br, M, bounds, lambda V: _quasinorm_rows(V, w))
 
 
-def delta_weighted(lat, w, budget=CELL_BUDGET):
+def delta_weighted(lat, w):
     """Weighted cusp function delta_{i,j}: inf of the quasinorm over the lattice."""
-    return shortest_vector_weighted(lat, w, budget).length
+    return shortest_vector_weighted(lat, w).length
 

@@ -396,6 +396,41 @@ def test_unknown_constant_rejected(tmp_path, capsys):
     assert code == 1 and "K9" in err
 
 
+def test_usage_error_exit_1(capsys):
+    """A misspelt flag exits 1 like any invalid input, not 2, the code of a degenerate result; --help exits 0."""
+    code = cli.main(["cover", "--kmax", "3"])
+    assert code == 1 and capsys.readouterr().err.startswith("error: usage:")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["cover", "--help"])
+    assert stop.value.code == 0
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_format_decoded_from_flag_and_config(tmp_path, capsys, form):
+    """--format and the config key `format` take json or csv; anything else exits 1 naming `format`."""
+    for fmt, code_want in [("csv", 0), ("xml", 1)]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt} if form == "config" else {}))
+        flag = ["--format", fmt] if form == "flag" else []
+        code = cli.main(["oracle-cf", "--n-digit", "2", "--depth", "5", *flag, "--config", str(cfg)])
+        out = capsys.readouterr()
+        assert code == code_want
+        if code_want:
+            assert out.err.startswith("error: format:") and out.out == ""
+        else:
+            assert out.out.startswith("N,depth,estimate\n")
+
+
+def test_eps_grid_config_list_matches_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps-grid": [0.02, 0.04, 0.08]}))
+    argv = ("nondiv", "--n-samples", "20000")
+    code, from_config = run_json(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    _, from_flag = run_json(capsys, *argv, "--eps-grid", "0.02,0.04,0.08")
+    assert from_config["results"] == from_flag["results"]
+
+
 def test_timestamp_fields_present_without_flag(capsys):
     code = cli.main(["oracle-cf", "--n-digit", "2", "--depth", "6"])
     rep = json.loads(capsys.readouterr().out)

@@ -253,18 +253,18 @@ def test_default_safety_m1n1():
 def test_cantor_fit_exact():
     counts = [2**k for k in range(1, 7)]
     sizes = [3.0**-k for k in range(1, 7)]
-    fit = cd.box_dimension_fit(counts, sizes, include_transient=True)
+    fit = cd.box_dimension_fit(counts, sizes)
     assert abs(fit.slope - math.log(2.0) / math.log(3.0)) <= 1e-12
     assert fit.r2 >= 1.0 - 1e-12
 
 
 def test_fit_degenerate():
     with pytest.raises(cd.DegenerateFit):
-        cd.box_dimension_fit([2, 4], [0.5, 0.25], include_transient=True)
+        cd.box_dimension_fit([2, 4], [0.5, 0.25])
     # one positive, finite size per count
     for sizes in ([0.5, 0.25], [0.5, 0.0, 0.125], [0.5, -0.25, 0.125], [0.5, math.inf, 0.125]):
         with pytest.raises(cd.ValidationError) as err:
-            cd.box_dimension_fit([2, 4, 8], sizes, include_transient=True)
+            cd.box_dimension_fit([2, 4, 8], sizes)
         assert err.value.field == "sizes"
 
 

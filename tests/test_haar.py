@@ -137,20 +137,31 @@ def test_mu_scaling_slope():
     assert abs(slope - 2.0) <= 0.15
 
 
+def _theta_z(norm):
+    """Two-sample z of Pr[delta < 0.2] with theta as sampled against theta = 0 (50000 samples, seed 3)."""
+
+    def fraction(zero_theta):
+        def work(rng, count):
+            x, y, theta, _ = sample_batch(rng, count)
+            if zero_theta:
+                theta = np.zeros_like(theta)
+            return int(np.count_nonzero(delta2_batch(_bases(x, y, theta), norm) < 0.2))
+
+        mean = sum(rngmod.chunked_map(work, 50000, 3, stream_id=1)) / 50000
+        return mean, math.sqrt(mean * (1.0 - mean) / 50000)
+
+    (a, sa), (b, sb) = fraction(False), fraction(True)
+    return (a - b) / math.sqrt(sa**2 + sb**2 + 1e-30)
+
+
 def test_rotation_invariance_euclid_vs_fixed_theta():
     """Euclid delta ignores theta: two-sample z stays within 3 sigma."""
-    a = cd.estimate_mu_U(0.2, W2, 50000, seed=3, norm="euclid")
-    b = cd.estimate_mu_U(0.2, W2, 50000, seed=3, norm="euclid", theta_mode="zero")
-    z = (a.mean - b.mean) / math.sqrt(a.stderr**2 + b.stderr**2 + 1e-30)
-    assert abs(z) <= 3.0
+    assert abs(_theta_z("euclid")) <= 3.0
 
 
 def test_sup_requires_theta_sampling():
     """Quasinorm delta depends on theta: the no-theta shortcut is rejected."""
-    a = cd.estimate_mu_U(0.2, W2, 50000, seed=3, norm="quasi")
-    b = cd.estimate_mu_U(0.2, W2, 50000, seed=3, norm="quasi", theta_mode="zero")
-    z = (a.mean - b.mean) / math.sqrt(a.stderr**2 + b.stderr**2 + 1e-30)
-    assert abs(z) > 3.0
+    assert abs(_theta_z("sup")) > 3.0
 
 
 def test_small_count_warning():
@@ -168,7 +179,7 @@ def test_sampler_stall():
             return np.zeros(n)
 
     with pytest.raises(cd.SamplerStall):
-        sample_batch(ZeroRng(), 10, cap=5000)
+        sample_batch(ZeroRng(), 10)
 
 
 def test_nondivergence_t0_and_saturation():
@@ -316,7 +327,5 @@ def test_inclusion_informational_above_bound():
 def test_validation_errors():
     with pytest.raises(cd.ValidationError):
         cd.estimate_mu_U(-0.1, W2, 100, seed=0)
-    with pytest.raises(cd.ValidationError):
-        cd.estimate_mu_U(0.1, W2, 100, seed=0, norm="sup")
     with pytest.raises(cd.UnsupportedDimension):
         cd.estimate_mu_U(0.1, cd.WeightVector((1.0,), (0.5, 0.5)), 100, seed=0)

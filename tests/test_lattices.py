@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cuspdim as cd
+from cuspdim import lattices
 from cuspdim.haar import delta2_batch
 from cuspdim.lattices import _lll_reduce
 
@@ -239,10 +240,17 @@ def test_inexact_raw_coefficients_refused():
         cd.delta_weighted(lat, w)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(lattices, "CELL_BUDGET", 10)
     lat = cd.make_lattice(np.eye(5))
     with pytest.raises(cd.EnumerationBudgetExceeded):
-        cd.shortest_vector(lat, "euclid", budget=10)
+        cd.shortest_vector(lat, "euclid")
+
+
+def test_unknown_norm_refused():
+    with pytest.raises(cd.ValidationError) as err:
+        cd.delta(cd.make_lattice(np.eye(3)), "taxicab")
+    assert err.value.field == "norm"
 
 
 def _skewed_unimodular(seed, d, steps):
