@@ -63,7 +63,6 @@ class Tessellation:
     """Cubes of the given side on the grid side*Z^L; base cube (0, side)^L."""
 
     L: int
-    r: float
     side: float
 
 
@@ -72,7 +71,7 @@ def tessellation_new(L, r):
         raise ValidationError("L", "must be a positive integer")
     if r <= 0:
         raise ValidationError("r", "must be positive")
-    return Tessellation(L=int(L), r=float(r), side=float(r) / (4.0 * math.sqrt(L)))
+    return Tessellation(L=int(L), side=float(r) / (4.0 * math.sqrt(L)))
 
 
 def _lambdas(w):
@@ -190,7 +189,7 @@ def _coeff_guard(*arrays):
             raise CoefficientBudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
 
 
-def sup_delta_flow_batch(h, T, basis, coeffs=None):
+def sup_delta_flow_batch(h, T, basis, coeffs):
     """Exact delta_sup(g_T u_h x0) for a batch of h, d = 2, equal weights.
 
     Integer coefficient pairs of both working basis vectors are carried
@@ -200,20 +199,17 @@ def sup_delta_flow_batch(h, T, basis, coeffs=None):
     over a reduced pair has coefficients in {(1,0), (0,1), (1,1), (1,-1)}
     (a^2 - |ab| + b^2 <= 2).
 
-    The reduction starts from the identity basis or, when `coeffs` is
-    given, from the unimodular integer rows (a1, b1, a2, b2) of that
-    (4, N) int64 array, which is overwritten with the reduced rows.  A
-    start that is already nearly reduced, such as a parent box's basis
-    at an earlier time, needs only a few steps.  Each pass runs only on
-    the rows still active: a row leaves once it has no swap and mu = 0.
-    Every reduced basis holds the same minimal vectors, so the values do
-    not depend on the start.  Rows go through in blocks of KERNEL_BLOCK,
-    which bounds the long-double working memory.
+    The reduction starts from the unimodular integer rows (a1, b1, a2,
+    b2) of the (4, N) int64 array `coeffs`, which is overwritten with
+    the reduced rows.  A start that is already nearly reduced, such as a
+    parent box's basis at an earlier time, needs only a few steps.  Each
+    pass runs only on the rows still active: a row leaves once it has no
+    swap and mu = 0.  Every reduced basis holds the same minimal vectors,
+    so the values do not depend on the start.  Rows go through in blocks
+    of KERNEL_BLOCK, which bounds the long-double working memory.
     """
     h = np.asarray(h, dtype=np.longdouble)
     N = h.shape[0]
-    if coeffs is None:
-        coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(N, axis=1)
     B = np.asarray(basis, dtype=np.longdouble)
     eT = np.exp(np.longdouble(T))
     emT = np.exp(-np.longdouble(T))
@@ -336,10 +332,8 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     n_children = int(np.prod(m_axis))
     # d = 2, equal weights: reduced integer bases of the kept boxes, so that
     # each child's reduction starts from its parent's (level 0: the identity)
-    coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 and w.equal else None
+    coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 else None
     for k in range(1, int(k_max) + 1):
-        if len(lows) == 0:
-            break
         child_sides = side * np.exp(-lams * k * t)
         parent_sides = side * np.exp(-lams * (k - 1) * t)
         if total + len(lows) * n_children > budget:

@@ -33,7 +33,6 @@ class DeterminantError(ValidationError):
 
     def __init__(self, det, tol):
         super().__init__("basis", f"|det - 1| = {abs(det - 1.0):.3e} exceeds tol {tol:.1e}")
-        self.det = det
 
 
 class DimensionMismatch(ValidationError):

@@ -48,7 +48,6 @@ class OrbitProfile:
 @dataclass(frozen=True)
 class BadVerdict:
     classification: str  # Bad | NotBad | Boundary
-    c_target: float
     orbit_min: float
     margin: float
 
@@ -131,7 +130,7 @@ def cusp_radius(c, d):
     return c ** (1.0 / d)
 
 
-def orbit_profile(A, w, t_max=15.0, dt=0.01):
+def orbit_profile(A, w, t_max, dt):
     """Sampled trajectory t -> delta_w(g_t u_A Z^d) on `time_grid(t_max, dt)`.
 
     Between grid points the quasinorm of any fixed vector moves by at
@@ -140,7 +139,7 @@ def orbit_profile(A, w, t_max=15.0, dt=0.01):
     """
     ts = time_grid(t_max, dt)
     A = _as_matrix(A, w)
-    if w.d == 2 and w.equal:
+    if w.d == 2:
         deltas = _profile_fastpath(float(A[0, 0]), ts)
     else:
         U = u_A(A)
@@ -174,43 +173,44 @@ def _weighted_norm(X, weights):
     return np.max(np.abs(X) ** e, axis=-1)
 
 
-def _q_grid_rows(lo, hi, q_bound, n):
-    """Rows lo..hi-1 of the row-major grid {-q_bound..q_bound}^n as floats, q = 0 left out."""
-    side = 2 * q_bound + 1
-    idx = np.arange(lo, hi)
-    idx = idx[idx != side**n // 2]  # the centre of the grid is q = 0
-    q = np.empty((len(idx), n))
-    for k in range(n - 1, -1, -1):
-        idx, q[:, k] = np.divmod(idx, side)
-    return q - q_bound
+def _q_half_rows(lo, hi, q_bound, n):
+    """The q of the numbers lo..hi-1 written in balanced base 2 q_bound + 1, q_1 leading.
+
+    The numbers 1..((2 q_bound + 1)^n - 1)/2 give exactly one of q, -q
+    for every nonzero q of the box ||q||_inf <= q_bound.
+    """
+    j = np.arange(lo, hi, dtype=np.float64)
+    if n == 1:
+        return j[:, None]
+    q = np.empty((len(j), n))
+    for k in range(n - 1, 0, -1):
+        j, r = np.divmod(j + q_bound, 2 * q_bound + 1)
+        q[:, k] = r - q_bound
+    q[:, 0] = j
+    return q
 
 
 def direct_bad_constant(A, w, q_bound):
     """Brute-force min over 1 <= ||q||_inf <= q_bound of ||Aq+p||_i ||q||_j.
 
     The optimal p is the coordinatewise nearest integer to -Aq because
-    ||.||_i is a coordinatewise max of even increasing functions.
+    ||.||_i is a coordinatewise max of even increasing functions; so q
+    and -q give the same value and only one of each pair is walked.
     Nonincreasing in q_bound by construction.  Raises
     EnumerationBudgetExceeded before allocating when the number of q
-    exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
+    walked exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
     """
-    if q_bound < 1:
-        raise ValidationError("q-bound", "must be >= 1")
+    if not (q_bound >= 1 and q_bound % 1 == 0):
+        raise ValidationError("q-bound", "must be a positive integer")
     A = _as_matrix(A, w)
     q_bound = int(q_bound)
-    cells = q_bound if w.n == 1 else (2 * q_bound + 1) ** w.n - 1
+    cells = ((2 * q_bound + 1) ** w.n - 1) // 2
     if cells > CELL_BUDGET:
         raise EnumerationBudgetExceeded(f"{cells} values of q, budget is {CELL_BUDGET}")
     step = 1 << 20
-    if w.n == 1:
-        chunks = (
-            np.arange(lo, min(lo + step, q_bound + 1), dtype=np.float64)[:, None]
-            for lo in range(1, q_bound + 1, step)
-        )
-    else:
-        chunks = (_q_grid_rows(lo, min(lo + step, cells + 1), q_bound, w.n) for lo in range(0, cells + 1, step))
     best = np.inf
-    for qs in chunks:
+    for lo in range(1, cells + 1, step):
+        qs = _q_half_rows(lo, min(lo + step, cells + 1), q_bound, w.n)
         r = qs @ A.T
         r -= np.round(r)
         vals = _weighted_norm(r, w.i) * _weighted_norm(qs, w.j)
@@ -237,7 +237,6 @@ def classify_from_profile(profile, c, d):
         cls = "Boundary"
     return BadVerdict(
         classification=cls,
-        c_target=float(c),
         orbit_min=profile.min_delta,
         margin=m,
     )

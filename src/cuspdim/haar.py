@@ -43,7 +43,7 @@ from .errors import (
 from .flows import T_LIMIT
 
 Y_MIN = math.sqrt(3.0) / 2.0
-ACCEPT_RATE = (math.pi / 3.0) / (2.0 / math.sqrt(3.0))  # ~0.906900
+C11 = 2.0  # perturbations g keep max(||g - I||, ||g^-1 - I||) <= C11 r
 MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
@@ -318,7 +318,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     )
 
 
-def admissible_radius(eps, w, C11=2.0):
+def admissible_radius(eps, w):
     """Largest perturbation radius the inner-core inclusion is stated for."""
     return (2.0**w.alpha - 1.0) / (w.d * C11) * eps ** max(w.m, w.n)
 
@@ -373,7 +373,7 @@ class InclusionReport:
     renorm_rejects: int
 
 
-def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0):
+def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     """Check U(eps/2) stays inside U(eps) under perturbations of size r.
 
     Haar samples are filtered to delta_w < eps/2; each gets n_perturb
@@ -389,7 +389,11 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed, C11=2.0):
     _require_d2(w)
     if r < 0:
         raise ValidationError("r", "must be nonnegative")
-    adm = admissible_radius(eps, w, C11)
+    for field, n in (("n-samples", n_samples), ("n-perturb", n_perturb)):
+        if not (n >= 1 and n % 1 == 0):
+            raise ValidationError(field, "must be a positive integer")
+    n_samples, n_perturb = int(n_samples), int(n_perturb)
+    adm = admissible_radius(eps, w)
     rng = rngmod.stream(seed, stream_id=4)
     half = eps / 2.0
     keep = []

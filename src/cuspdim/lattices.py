@@ -92,13 +92,6 @@ class WeightVector:
     def alpha(self):
         return min(min(self.i), min(self.j))
 
-    @property
-    def equal(self):
-        """True when the quasinorm degenerates to the sup norm (all i_k = 1/m, j_l = 1/n)."""
-        return all(abs(v - 1.0 / self.m) < 1e-12 for v in self.i) and all(
-            abs(v - 1.0 / self.n) < 1e-12 for v in self.j
-        )
-
 
 EQUAL_WEIGHTS_2D = WeightVector((1.0,), (1.0,))
 
@@ -112,7 +105,7 @@ class ShortVec:
     length: float
 
 
-def make_lattice(basis, tol=DET_TOL):
+def make_lattice(basis):
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise ValidationError("basis", "basis must be a square matrix")
@@ -122,8 +115,8 @@ def make_lattice(basis, tol=DET_TOL):
     det = float(np.linalg.det(basis))
     if abs(det) < 1e-12 or np.linalg.matrix_rank(basis) < d:
         raise RankError()
-    if abs(det - 1.0) > tol:
-        raise DeterminantError(det, tol)
+    if abs(det - 1.0) > DET_TOL:
+        raise DeterminantError(det, DET_TOL)
     return Lattice(dim=d, basis=basis)
 
 

@@ -19,6 +19,11 @@ W2 = cd.EQUAL_WEIGHTS_2D
 W3 = cd.WeightVector((1.0,), (0.3, 0.7))
 
 
+def _identity_rows(n):
+    """The (4, n) integer rows (a1, b1, a2, b2) of n identity starts of the d = 2 kernel."""
+    return np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(n, axis=1)
+
+
 @pytest.fixture(scope="module")
 def cover_c025():
     """Shared survivor cover at the headline parameters (t=2, four levels)."""
@@ -70,7 +75,7 @@ def test_kernel_vs_enumeration():
     hs = rng.uniform(0.0, 0.125, 100)
     for basis, Ts in ((np.eye(2), (2.0, 5.0, 8.0)), (_SHEARED_HEX, (2.0, 5.0, 8.0))):
         for T in Ts:
-            kd = sup_delta_flow_batch(hs, T, basis)
+            kd = sup_delta_flow_batch(hs, T, basis, _identity_rows(len(hs)))
             for h, dk in zip(hs, kd):
                 lat = cd.make_lattice(cd.g_t(W2, T) @ cd.u_A(float(h)) @ basis)
                 assert abs(cd.delta_weighted(lat, W2) - dk) <= 1e-9
@@ -79,7 +84,7 @@ def test_kernel_vs_enumeration():
 def test_kernel_coefficient_guard():
     # convergent denominators reach 2^31 once e^T does (T >= 22)
     with pytest.raises(cd.CoefficientBudgetExceeded):
-        sup_delta_flow_batch(np.array([1.0 / math.pi]), 23.0, np.eye(2))
+        sup_delta_flow_batch(np.array([1.0 / math.pi]), 23.0, np.eye(2), _identity_rows(1))
 
 
 _S = 3**-0.25 * math.sqrt(2.0)
@@ -101,17 +106,17 @@ def test_warm_start_matches_cold(hs, T, t, shift, hexagonal):
     basis = _SHEARED_HEX if hexagonal else np.eye(2)
     h = np.array(hs)
     T0 = max(T - t, 0.0)
-    coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(len(h), axis=1)
+    coeffs = _identity_rows(len(h))
     sup_delta_flow_batch(h + shift * math.exp(-2.0 * T0), T0, basis, coeffs)
     warm = sup_delta_flow_batch(h, T, basis, coeffs)
-    assert np.array_equal(warm, sup_delta_flow_batch(h, T, basis))
+    assert np.array_equal(warm, sup_delta_flow_batch(h, T, basis, _identity_rows(len(h))))
     assert np.all(np.abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) == 1)  # unimodular
 
 
 def test_kernel_blocks_match_one_block(monkeypatch):
     """Splitting the rows into blocks changes neither the values nor the reduced rows."""
     h = np.random.default_rng(3).uniform(0.0, 0.125, 1000)
-    one = np.array([[1], [0], [0], [1]], dtype=np.int64).repeat(len(h), axis=1)
+    one = _identity_rows(len(h))
     many = one.copy()
     whole = sup_delta_flow_batch(h, 6.0, _SHEARED_HEX, one)
     monkeypatch.setattr(covering, "KERNEL_BLOCK", 7)

@@ -194,15 +194,44 @@ def _scan_bad_constant(A, w, q_bound):
     return best
 
 
-@pytest.mark.parametrize("i, j", [((1.0,), (0.5, 0.5)), ((0.4, 0.6), (0.3, 0.7)), ((1.0,), (0.2, 0.3, 0.5))])
+@pytest.mark.parametrize(
+    "i, j",
+    [
+        ((1.0,), (0.5, 0.5)),
+        ((0.4, 0.6), (0.3, 0.7)),
+        ((1.0,), (0.2, 0.3, 0.5)),
+        ((1.0,), (1.0,)),
+        ((0.4, 0.6), (1.0,)),
+        ((0.4, 0.6), (0.2, 0.3, 0.5)),
+    ],
+)
 def test_direct_constant_grid_matches_product_scan(i, j):
-    """The chunked n >= 2 q-grid equals a plain scan over every q."""
+    """The chunked half-box walk, one of each +-q, equals a plain scan over every q."""
     w = cd.WeightVector(i, j)
     rng = np.random.default_rng(len(i) * 10 + len(j))
     for q_bound in (1, 2, 4, 6):
         A = rng.uniform(-1.0, 1.0, (w.m, w.n))
         got = cd.direct_bad_constant(A, w, q_bound)
         assert got == pytest.approx(_scan_bad_constant(A, w, q_bound), rel=1e-12)
+
+
+def test_direct_constant_budget_counts_half_the_box(monkeypatch):
+    """The budget counts the ((2Q+1)^n - 1)/2 values of q walked: 12 at n = 2, Q = 2, and 24 at Q = 3."""
+    monkeypatch.setattr(cd.flows, "CELL_BUDGET", 12)
+    w = cd.WeightVector((1.0,), (0.5, 0.5))
+    A = np.array([[PHI_M1, SQRT2_M1]])
+    assert cd.direct_bad_constant(A, w, 2) == pytest.approx(_scan_bad_constant(A, w, 2), rel=1e-12)
+    with pytest.raises(cd.EnumerationBudgetExceeded):
+        cd.direct_bad_constant(A, w, 3)
+
+
+@pytest.mark.parametrize("q_bound", [2.7, -1, math.inf, math.nan])
+def test_direct_constant_q_bound_must_be_positive_integer(q_bound):
+    """A non-integral q-bound is refused, not truncated (2.7 used to run as 2)."""
+    with pytest.raises(cd.ValidationError) as err:
+        cd.direct_bad_constant(np.array([[PHI_M1]]), W2, q_bound)
+    assert err.value.field == "q-bound"
+    assert cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 3.0) == cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 3)
 
 
 def test_direct_constant_grid_memory():
@@ -257,7 +286,6 @@ def test_dani_examples():
 
 def test_dani_verdict_fields():
     v = _verdict(PHI_M1, 0.3)
-    assert v.c_target == 0.3
     assert v.margin > 1.0
     assert abs(v.orbit_min - 0.6188) < 0.01
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cuspdim as cd
+from cuspdim import haar
 from cuspdim import rng as rngmod
 from cuspdim.haar import _bases, _perturbations, delta2_batch, gauss_reduce_batch, sample_batch
 
@@ -220,7 +221,7 @@ def test_nondivergence_t_limit_and_accuracy_warning():
     assert warn is not None and "t = 20" in warn
 
 
-def test_pinned_outputs():
+def test_pinned_outputs(monkeypatch):
     """Exact outputs at fixed seeds: they move if a stream, the draw order or the reduction's arithmetic does."""
     assert cd.estimate_mu_U(0.1, W2, 200000, seed=4, threads=2).hits == 2435
     x0 = cd.make_lattice(np.eye(2))
@@ -229,8 +230,9 @@ def test_pinned_outputs():
     for r, want in ((0.8, (14, 27)), (2.0, (76, 810))):
         rep = cd.core_inclusion_check(0.3, r, W2, 200, 5, seed=0)
         assert (rep.violations, rep.renorm_rejects) == want
+    monkeypatch.setattr(haar, "C11", 1e-3)
     with pytest.raises(cd.BudgetExceeded):
-        cd.core_inclusion_check(0.3, 0.8, W2, 200, 5, seed=0, C11=1e-3)
+        cd.core_inclusion_check(0.3, 0.8, W2, 200, 5, seed=0)
 
 
 def _sequential_perturbations(prng, r, C11, count):
@@ -297,6 +299,15 @@ def test_sample_count_must_be_positive(call, n):
     with pytest.raises(cd.ValidationError) as err:
         call(n)
     assert err.value.field == "n-samples"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_samples, n_perturb, field", [(0, 5, "n-samples"), (-3, 5, "n-samples"), (2.5, 5, "n-samples"), (200, -1, "n-perturb"), (200, 0, "n-perturb")])
+def test_inclusion_counts_must_be_positive_integers(n_samples, n_perturb, field):
+    """A bad count is refused before any sampling, not left to a bare numpy error."""
+    with pytest.raises(cd.ValidationError) as err:
+        cd.core_inclusion_check(0.3, 0.05, W2, n_samples, n_perturb, seed=0)
+    assert err.value.field == field
 
 
 def test_admissible_radius_value():
