@@ -9,6 +9,7 @@ byte-identical output.
 """
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import covering, flows, haar, lattices
-from .errors import CuspDimError, EnumerationBudgetExceeded, ValidationError
+from .errors import CuspDimError, EnumerationBudgetExceeded, ValidationError, require_int
 
 CONSTANT_DEFAULTS = {
     "K3": None,  # calibrated from the exact counts when not set
@@ -111,6 +112,14 @@ def _int(raw):
     return int(raw)
 
 
+def _real(raw):
+    """A finite float; nan, inf and anything that is not a number is a ValueError."""
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
 def _weights(args, config):
     """The config's weights {"i": [...], "j": [...]}, or the equal pair (1; 1)."""
     return _resolve(args, config, "weights", lattices.EQUAL_WEIGHTS_2D, lambda w: lattices.WeightVector(tuple(w["i"]), tuple(w["j"])))
@@ -137,7 +146,7 @@ def _constants(raw):
     for k, v in {**raw}.items():
         if k not in block:
             raise ValidationError(f"constants.{k}", "unknown constant")
-        block[k] = None if v is None else float(v)
+        block[k] = None if v is None else _real(v)
     return block
 
 
@@ -150,13 +159,13 @@ def _format(raw):
 
 def _synthetic(raw):
     """The counts and sizes of a `dim` fit given directly."""
-    return [_int(n) for n in raw["counts"]], [float(s) for s in raw["sizes"]]
+    return [_int(n) for n in raw["counts"]], [_real(s) for s in raw["sizes"]]
 
 
 def _orbit_args(args, config):
     """A, t-max and dt of `bad` and `orbit`; `flows.orbit_profile` checks them."""
     A = _resolve(args, config, "A", REQUIRED, lambda raw: np.asarray(raw, dtype=float))
-    return A, _resolve(args, config, "t-max", 15.0, float), _resolve(args, config, "dt", 0.01, float)
+    return A, _resolve(args, config, "t-max", 15.0, _real), _resolve(args, config, "dt", 0.01, _real)
 
 
 # ---------------------------------------------------------------- commands
@@ -189,40 +198,35 @@ def _brute_minima(basis, w):
     return best
 
 
+def _fields(result):
+    """A result dataclass as a report dict; its warning goes to the report's warnings."""
+    return {k: v for k, v in dataclasses.asdict(result).items() if k != "warning"}
+
+
 def cmd_delta(args, config, consts):
     w = _weights(args, config)
     lat = _lattice(args, config, w)
-    sv_e = lattices.shortest_vector(lat, "euclid")
-    sv_s = lattices.shortest_vector(lat, "sup")
-    sv_w = lattices.shortest_vector_weighted(lat, w)
-    res = {
-        "delta_euclid": sv_e.length,
-        "delta_sup": sv_s.length,
-        "delta_weighted": sv_w.length,
-        "min_vec_euclid": {"coeffs": list(sv_e.coeffs), "vec": sv_e.vec.tolist()},
-        "min_vec_sup": {"coeffs": list(sv_s.coeffs), "vec": sv_s.vec.tolist()},
-        "min_vec_weighted": {"coeffs": list(sv_w.coeffs), "vec": sv_w.vec.tolist()},
+    svs = {
+        "euclid": lattices.shortest_vector(lat, "euclid"),
+        "sup": lattices.shortest_vector(lat, "sup"),
+        "weighted": lattices.shortest_vector_weighted(lat, w),
     }
+    res, rows = {}, []
     if args.brute:
-        best = _brute_minima(lat.basis, w)
-        res["brute"] = best
-        res["brute_agrees"] = {
-            "euclid": abs(best["euclid"] - sv_e.length) <= 1e-12,
-            "sup": abs(best["sup"] - sv_s.length) <= 1e-12,
-            "weighted": abs(best["weighted"] - sv_w.length) <= 1e-12,
-        }
-    rows = [
-        ("euclid", res["delta_euclid"]),
-        ("sup", res["delta_sup"]),
-        ("weighted", res["delta_weighted"]),
-    ]
-    return res, [], 0, ("norm,delta", [f"{n},{_fmt(v)}" for n, v in rows])
+        res["brute"], res["brute_agrees"] = _brute_minima(lat.basis, w), {}
+    for name, sv in svs.items():
+        res[f"delta_{name}"] = sv.length
+        res[f"min_vec_{name}"] = {"coeffs": list(sv.coeffs), "vec": sv.vec.tolist()}
+        rows.append(f"{name},{_fmt(sv.length)}")
+        if args.brute:
+            res["brute_agrees"][name] = abs(res["brute"][name] - sv.length) <= 1e-12
+    return res, [], 0, ("norm,delta", rows)
 
 
 def cmd_bad(args, config, consts):
     w = _weights(args, config)
     A, t_max, dt = _orbit_args(args, config)
-    c = _resolve(args, config, "c", REQUIRED, float)
+    c = _resolve(args, config, "c", REQUIRED, _real)
     q_bound = _resolve(args, config, "q-bound", None, _int)
     # every check runs before the orbit, the costly part
     flows.cusp_radius(c, w.d)
@@ -235,12 +239,10 @@ def cmd_bad(args, config, consts):
     profile = flows.orbit_profile(A, w, t_max, dt)
     verdict = flows.classify_from_profile(profile, c, w.d)
     res = {
-        "classification": verdict.classification,
+        **_fields(verdict),
         "c_target": c,
         "c_direct": c_direct,
-        "orbit_min": verdict.orbit_min,
         "argmin_t": profile.argmin_t,
-        "margin": verdict.margin,
         "brute_predicate_bad": bool(c_direct >= c),
         "agree": bool((verdict.classification == "Bad") == (c_direct >= c))
         if verdict.classification != "Boundary"
@@ -273,17 +275,10 @@ def cmd_orbit(args, config, consts):
 
 def cmd_mu(args, config, consts):
     w = _weights(args, config)
-    eps = _resolve(args, config, "eps", REQUIRED, float)
+    eps = _resolve(args, config, "eps", REQUIRED, _real)
     n = _resolve(args, config, "n-samples", 10**5, _int)
     est = haar.estimate_mu_U(eps, w, n, seed=args.seed_val, threads=args.threads_val)
-    res = {
-        "eps": est.eps,
-        "n_samples": est.n_samples,
-        "hits": est.hits,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "prediction": est.prediction,
-    }
+    res = _fields(est)
     if est.prediction is not None and est.stderr > 0:
         res["z"] = (est.mean - est.prediction) / est.stderr
     warns = [est.warning] if est.warning else []
@@ -295,19 +290,12 @@ def cmd_mu(args, config, consts):
 def cmd_nondiv(args, config, consts):
     w = _weights(args, config)
     lat = _lattice(args, config, w)
-    t = _resolve(args, config, "t", 4.0, float)
+    t = _resolve(args, config, "t", 4.0, _real)
     n = _resolve(args, config, "n-samples", 10**5, _int)
-    grid = _resolve(args, config, "eps-grid", [0.02, 0.04, 0.08, 0.16], lambda raw: [float(v) for v in (raw if isinstance(raw, list) else str(raw).split(","))])
+    grid = _resolve(args, config, "eps-grid", [0.02, 0.04, 0.08, 0.16], lambda raw: [_real(v) for v in (raw if isinstance(raw, list) else str(raw).split(","))])
     fit = haar.nondivergence_profile(lat, w, t, grid, n, seed=args.seed_val, threads=args.threads_val)
     half = (fit.slope_ci[1] - fit.slope_ci[0]) / 2.0
-    res = {
-        "t": t,
-        "eps_grid": fit.eps_grid,
-        "fractions": fit.fractions,
-        "slope": fit.slope,
-        "slope_ci": list(fit.slope_ci),
-        "slope_ok": bool(fit.slope >= 1.0 - half),
-    }
+    res = {"t": t, **_fields(fit), "slope_ok": bool(fit.slope >= 1.0 - half)}
     rows = [
         f"{_fmt(e)},{_fmt(f)},{_fmt(math.sqrt(max(f * (1 - f), 0.0) / n))}"
         for e, f in zip(fit.eps_grid, fit.fractions)
@@ -320,9 +308,9 @@ def _survivor_cover(args, config):
     """The weights, r and survivor cover of `cover` and `dim`; `covering.survivor_cover` checks the values."""
     w = _weights(args, config)
     lat = _lattice(args, config, w)
-    c = _resolve(args, config, "c", 0.25, float)
-    r = _resolve(args, config, "r", 0.5, float)
-    t = _resolve(args, config, "t", 1.5, float)
+    c = _resolve(args, config, "c", 0.25, _real)
+    r = _resolve(args, config, "r", 0.5, _real)
+    t = _resolve(args, config, "t", 1.5, _real)
     k_max = _resolve(args, config, "k-max", 6, _int)
     budget = _resolve(args, config, "budget", covering.BOX_BUDGET, _int)
     return w, r, covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
@@ -368,13 +356,7 @@ def cmd_dim(args, config, consts):
     else:
         _, _, cover = _survivor_cover(args, config)
         fit = covering.box_dimension_fit(cover)
-    res = {
-        "levels_used": fit.levels_used,
-        "log_counts": fit.log_counts,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
-    }
+    res = _fields(fit)
     warns = []
     code = 0
     if cover is not None and cover.truncated:
@@ -465,9 +447,7 @@ def main(argv=None):
         seed = _resolve(args, config, "seed", 0, _int)
         if not 0 <= seed < 2**64:
             raise ValidationError("seed", "must be a 64-bit unsigned integer")
-        threads = _resolve(args, config, "threads", 1, _int)
-        if threads < 1:
-            raise ValidationError("threads", "must be positive")
+        threads = require_int("threads", _resolve(args, config, "threads", 1, _int))
         args.seed_val = seed
         args.threads_val = threads
         consts = _resolve(args, config, "constants", CONSTANT_DEFAULTS, _constants)

@@ -47,8 +47,9 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     ValidationError,
+    require_int,
 )
-from .flows import cusp_radius, g_t, u_A
+from .flows import T_LIMIT, cusp_radius, g_t, u_A
 from .lattices import delta_weighted, make_lattice
 
 BOX_BUDGET = 10**7
@@ -67,11 +68,10 @@ class Tessellation:
 
 
 def tessellation_new(L, r):
-    if int(L) != L or L < 1:
-        raise ValidationError("L", "must be a positive integer")
-    if r <= 0:
-        raise ValidationError("r", "must be positive")
-    return Tessellation(L=int(L), side=float(r) / (4.0 * math.sqrt(L)))
+    L = require_int("L", L)
+    if not 0 < r < math.inf:
+        raise ValidationError("r", "must be positive and finite")
+    return Tessellation(L=L, side=float(r) / (4.0 * math.sqrt(L)))
 
 
 def _lambdas(w):
@@ -94,8 +94,8 @@ def _per_axis_count(E):
 
 def count_S_rt(tess, w, t):
     """Exact count of gamma in Lambda_r with g_{-t} V_r gamma g_t meeting V_r."""
-    if t < 0:
-        raise ValidationError("t", "must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t", "must be nonnegative and finite")
     if tess.L != w.m * w.n:
         raise DimensionMismatch(f"tessellation L={tess.L} != m*n={w.m * w.n}")
     total = 1
@@ -111,8 +111,8 @@ def count_S_rt_brute(tess, w, t):
     |gamma_kappa| <= ceil(e^{lambda_max t}) + 2, with the same relative
     tolerance convention for the open-interval comparisons.
     """
-    if t < 0:
-        raise ValidationError("t", "must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t", "must be nonnegative and finite")
     total = 1
     for lam in _lambdas(w):
         f = math.exp(-lam * t)
@@ -130,8 +130,8 @@ def count_S_rt_brute(tess, w, t):
 
 def lemma61_bound(tess, w, t, K3):
     """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r)), lambda0 = min lambda."""
-    if K3 <= 0:
-        raise ValidationError("K3", "must be positive")
+    if not 0 < K3 < math.inf:
+        raise ValidationError("K3", "must be positive and finite")
     lams = _lambdas(w)
     lam0 = float(np.min(lams))
     vol = tess.side**tess.L
@@ -270,8 +270,7 @@ def default_safety(w, side):
     general weights the worst quasinorm exponent is applied on top,
     which is conservative.
     """
-    p = max(max(1.0 / (w.m * ik) for ik in w.i), max(1.0 / (w.n * jl) for jl in w.j))
-    return (1.0 + w.n * side / 2.0) ** p
+    return (1.0 + w.n * side / 2.0) ** (1.0 / float(np.min(w.powers)))
 
 
 def _delta_at_centers(centers, T, x0, w, coeffs):
@@ -306,18 +305,17 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     eps = cusp_radius(c, w.d)
     if not 0 < r <= R_CAP:
         raise ValidationError("r", f"must be in (0, {R_CAP}]")
-    if not t > 0:
-        raise ValidationError("t", "must be positive")
-    if int(k_max) != k_max or k_max < 1:
-        raise ValidationError("k-max", "must be a positive integer")
-    if int(budget) != budget or budget < 1:
-        raise ValidationError("budget", "must be a positive integer")
+    lams = _lambdas(w)
+    t_cap = T_LIMIT / float(np.max(lams))
+    if not 0 < t <= t_cap:
+        raise ValidationError("t", f"must be positive with e^((i_k + j_l) t) finite: need t <= {t_cap:.6g}")
+    k_max = require_int("k-max", k_max)
+    budget = require_int("budget", budget)
     if x0.dim != w.d:
         raise DimensionMismatch(f"x0 dim {x0.dim} != weight dimension {w.d}")
     L = w.m * w.n
     tess = tessellation_new(L, r)
     side = tess.side
-    lams = _lambdas(w)
     safety = default_safety(w, side)
     thresh = eps / safety
 
@@ -329,11 +327,11 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     total = 1
     truncated = False
     m_axis = [_per_axis_count(math.exp(lam * t)) for lam in lams]
-    n_children = int(np.prod(m_axis))
+    n_children = math.prod(m_axis)
     # d = 2, equal weights: reduced integer bases of the kept boxes, so that
     # each child's reduction starts from its parent's (level 0: the identity)
     coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 else None
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         child_sides = side * np.exp(-lams * k * t)
         parent_sides = side * np.exp(-lams * (k - 1) * t)
         if total + len(lows) * n_children > budget:
@@ -392,8 +390,8 @@ def box_dimension_fit(levels, sizes=None):
 
     `levels` is a CoverResult/list of CoverLevel, whose level 0 (the
     single starting cube) is excluded as a transient, or a plain list of
-    counts paired with explicit `sizes`, one positive size per count,
-    all of which are fitted.
+    integer counts >= 0 paired with explicit `sizes`, one positive size
+    per count, all of which are fitted.
     Needs >= 3 usable levels with positive counts.
     """
     if sizes is None:
@@ -403,7 +401,7 @@ def box_dimension_fit(levels, sizes=None):
         sizes = [lv.box_size for lv in levels]
     else:
         ks = list(range(len(levels)))
-        counts = [int(n) for n in levels]
+        counts = [require_int("counts", n, least=0) for n in levels]
         sizes = [float(s) for s in sizes]
         if len(sizes) != len(counts) or not all(0 < s < math.inf for s in sizes):
             raise ValidationError("sizes", "need one positive finite size per count")
@@ -453,10 +451,8 @@ def cf_digit_oracle(N, depth):
     root of log sum l^s across two consecutive depths).  Entirely
     independent of the dynamical code path.
     """
-    if int(N) != N or N < 1:
-        raise ValidationError("N", "must be a positive integer")
-    if int(depth) != depth or depth < 4:
-        raise ValidationError("depth", "must be an integer >= 4")
+    N = require_int("N", N)
+    depth = require_int("depth", depth, least=4)
     if N**depth > CF_BUDGET:
         raise BudgetExceeded(f"N^depth = {N ** depth} exceeds cap {CF_BUDGET}")
     if N == 1:

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for counts.
 
 Every error that a caller can act on gets its own class, and each class
 carries the CLI's exit code and stderr label: 1 "error" (invalid input,
 package defects), 2 "degenerate" (inconclusive fits), 3 "budget exceeded".
+Every count (q-bound, L, k-max, budget, N, depth, n-samples, n-perturb,
+the counts of a dimension fit and the CLI's threads) goes through
+`require_int` in the function that consumes it, so 0, 2.5, nan and inf
+are refused alike and nothing is truncated.  Real-valued ranges are written as negated comparisons
+(`not 0 < t < math.inf`), which nan and inf both fail.
 """
 
 
@@ -19,6 +24,17 @@ class ValidationError(CuspDimError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def require_int(field, value, least=1):
+    """`value` as an int, or ValidationError(field) unless it is an integer >= least."""
+    try:
+        ok = value >= least and value % 1 == 0  # false for nan and inf
+    except (TypeError, ValueError):  # not a number, or not one number
+        ok = False
+    if not ok:
+        raise ValidationError(field, "must be a positive integer" if least == 1 else f"must be an integer >= {least}")
+    return int(value)
 
 
 class RankError(ValidationError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, ValidationError
+from .errors import EnumerationBudgetExceeded, ValidationError, require_int
 from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 
 # e^t is finite in float64 up to t = ln(max float) = 709.78
@@ -112,8 +112,8 @@ def time_grid(t_max, dt):
     t_max, dt = float(t_max), float(dt)
     if not t_max > 0:
         raise ValidationError("t-max", "must be positive")
-    if not dt > 0:
-        raise ValidationError("dt", "must be positive")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt", "must be positive and finite")
     if not t_max + dt <= T_LIMIT:
         raise ValidationError("t-max", f"e^t overflows float64: need t-max + dt <= {T_LIMIT:.6g}")
     if t_max / dt > MAX_SAMPLES:
@@ -200,10 +200,8 @@ def direct_bad_constant(A, w, q_bound):
     EnumerationBudgetExceeded before allocating when the number of q
     walked exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
     """
-    if not (q_bound >= 1 and q_bound % 1 == 0):
-        raise ValidationError("q-bound", "must be a positive integer")
+    q_bound = require_int("q-bound", q_bound)
     A = _as_matrix(A, w)
-    q_bound = int(q_bound)
     cells = ((2 * q_bound + 1) ** w.n - 1) // 2
     if cells > CELL_BUDGET:
         raise EnumerationBudgetExceeded(f"{cells} values of q, budget is {CELL_BUDGET}")

@@ -39,6 +39,7 @@ from .errors import (
     SamplerStall,
     UnsupportedDimension,
     ValidationError,
+    require_int,
 )
 from .flows import T_LIMIT
 
@@ -203,21 +204,22 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1):
     At d = 2 the weighted quasinorm is the sup norm.
     """
     _require_d2(w)
-    if not eps >= 0:
-        raise ValidationError("eps", "must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValidationError("eps", "must be nonnegative and finite")
+    n_samples = require_int("n-samples", n_samples)
 
     def work(rng, count):
         x, y, theta, _p = sample_batch(rng, count)
         return int(np.count_nonzero(delta2_batch(_bases(x, y, theta)) < eps))
 
-    hits = sum(rngmod.chunked_map(work, int(n_samples), seed, stream_id=1, threads=threads))
+    hits = sum(rngmod.chunked_map(work, n_samples, seed, stream_id=1, threads=threads))
     mean = hits / n_samples
     stderr = math.sqrt(max(mean * (1.0 - mean), 0.0) / n_samples)
     pred = siegel_prediction(eps, w) if 0 < eps < 1 else None
     warn = "small-count: fewer than 20 hits, stderr unreliable" if 0 < hits < 20 else None
     return MeasureEstimate(
         eps=float(eps),
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         hits=int(hits),
         mean=mean,
         stderr=stderr,
@@ -232,6 +234,7 @@ def sampler_calibration(n_samples, seed, threads=1):
     The stated density integrates to Pr[y >= c] = 3/(c pi) for c >= 1
     (the x-strip has width 1 and the domain mass is pi/3).
     """
+    n_samples = require_int("n-samples", n_samples)
 
     def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
@@ -239,7 +242,7 @@ def sampler_calibration(n_samples, seed, threads=1):
         dmax = float(np.max(delta2_batch(_bases(x, y, theta), "euclid")))
         return tail, proposed, count, dmax
 
-    out = rngmod.chunked_map(work, int(n_samples), seed, stream_id=2, threads=threads)
+    out = rngmod.chunked_map(work, n_samples, seed, stream_id=2, threads=threads)
     tails = np.sum([o[0] for o in out], axis=0)
     proposed = sum(o[1] for o in out)
     accepted = sum(o[2] for o in out)
@@ -249,7 +252,7 @@ def sampler_calibration(n_samples, seed, threads=1):
         "tail_analytic": [3.0 / (c * math.pi) for c in Y_CUTS],
         "acceptance_rate": accepted / proposed,
         "max_delta_euclid": max(o[3] for o in out),
-        "n_samples": int(n_samples),
+        "n_samples": n_samples,
     }
 
 
@@ -266,8 +269,9 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 3:
         raise ValidationError("eps-grid", "need at least 3 epsilon values")
-    if min(eps_grid) <= 0:
-        raise ValidationError("eps-grid", "epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps_grid):
+        raise ValidationError("eps-grid", "epsilons must be positive and finite")
+    n_samples = require_int("n-samples", n_samples)
     B = x.basis
     log_b = math.log(float(np.max(np.abs(B))))
     # entries of g_t u_h B with |h| <= 2 stay below 3 max|B| e^|t|, so the squared
@@ -294,9 +298,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
         d = delta2_batch(bases, "sup")
         return np.array([int(np.count_nonzero(d < e)) for e in eps_grid])
 
-    hits = np.sum(
-        rngmod.chunked_map(work, int(n_samples), seed, stream_id=3, threads=threads), axis=0
-    )
+    hits = np.sum(rngmod.chunked_map(work, n_samples, seed, stream_id=3, threads=threads), axis=0)
     fractions = hits / n_samples
     pos = fractions > 0
     if int(np.count_nonzero(pos)) < 3:
@@ -387,12 +389,12 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     raise BudgetExceeded.
     """
     _require_d2(w)
-    if r < 0:
-        raise ValidationError("r", "must be nonnegative")
-    for field, n in (("n-samples", n_samples), ("n-perturb", n_perturb)):
-        if not (n >= 1 and n % 1 == 0):
-            raise ValidationError(field, "must be a positive integer")
-    n_samples, n_perturb = int(n_samples), int(n_perturb)
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps", "must be positive and finite")
+    if not 0 <= r < math.inf:
+        raise ValidationError("r", "must be nonnegative and finite")
+    n_samples = require_int("n-samples", n_samples)
+    n_perturb = require_int("n-perturb", n_perturb)
     adm = admissible_radius(eps, w)
     rng = rngmod.stream(seed, stream_id=4)
     half = eps / 2.0

@@ -18,7 +18,7 @@ own box and norm; `quasinorm` is the one-row case of the row-wise
 quasinorm the loop uses.  d <= 5 keeps the boxes tractable.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +59,16 @@ class Lattice:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Expansion/contraction weights (i, j): positive, each block sums to 1."""
+    """Expansion/contraction weights (i, j): positive, each block sums to 1.
+
+    `powers` holds m i_k and n j_l in coordinate order: the quasinorm
+    takes |v_k|^(1/powers_k), and its ball of radius b is the box
+    |v_k| <= b^powers_k.
+    """
 
     i: tuple
     j: tuple
+    powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         i = tuple(float(v) for v in self.i)
@@ -71,10 +77,13 @@ class WeightVector:
         object.__setattr__(self, "j", j)
         if not i or not j:
             raise ValidationError("weights", "both weight blocks must be nonempty")
-        if min(i) <= 0 or min(j) <= 0:
+        if not all(v > 0 for v in i + j):
             raise ValidationError("weights", "weights must be positive")
-        if abs(sum(i) - 1.0) > 1e-12 or abs(sum(j) - 1.0) > 1e-12:
+        if not (abs(sum(i) - 1.0) <= 1e-12 and abs(sum(j) - 1.0) <= 1e-12):
             raise ValidationError("weights", "each weight block must sum to 1 within 1e-12")
+        powers = np.array([len(i) * v for v in i] + [len(j) * v for v in j])
+        powers.flags.writeable = False
+        object.__setattr__(self, "powers", powers)
 
     @property
     def m(self):
@@ -112,6 +121,8 @@ def make_lattice(basis):
     d = basis.shape[0]
     if not 2 <= d <= 5:
         raise UnsupportedDimension(f"supported dimensions are 2..5, got {d}")
+    if not np.isfinite(basis).all():
+        raise ValidationError("basis", "entries must be finite")
     det = float(np.linalg.det(basis))
     if abs(det) < 1e-12 or np.linalg.matrix_rank(basis) < d:
         raise RankError()
@@ -272,11 +283,7 @@ def quasinorm(v, w):
 
 
 def _quasinorm_rows(V, w):
-    p = np.abs(V[:, : w.m])
-    q = np.abs(V[:, w.m :])
-    ei = np.array([1.0 / (w.m * ik) for ik in w.i])
-    ej = np.array([1.0 / (w.n * jl) for jl in w.j])
-    return np.max(np.concatenate([p**ei, q**ej], axis=1), axis=1)
+    return np.max(np.abs(V) ** (1.0 / w.powers), axis=1)
 
 
 def shortest_vector_weighted(lat, w):
@@ -296,9 +303,7 @@ def shortest_vector_weighted(lat, w):
     Brinv = np.linalg.inv(Br)
     col_q = _quasinorm_rows(Br.T, w)
     b = min(1.0, float(np.min(col_q))) + 1e-9
-    amb = np.array(
-        [b ** (w.m * ik) for ik in w.i] + [b ** (w.n * jl) for jl in w.j]
-    )
+    amb = np.array([b**p for p in w.powers])
     bounds = np.maximum(np.floor(np.abs(Brinv) @ amb + 1e-9).astype(int), 1)
     return _enumerate_min(B, Br, M, bounds, lambda V: _quasinorm_rows(V, w))
 

@@ -13,8 +13,6 @@ import concurrent.futures
 
 import numpy as np
 
-from .errors import ValidationError
-
 # Fixed chunk size for worker-count-independent Monte Carlo splits.
 CHUNK = 1 << 16
 
@@ -30,11 +28,9 @@ def chunked_map(fn, n_total, seed, stream_id, threads=1):
     """Run fn(rng, count) over fixed chunks; return list in chunk order.
 
     The chunk grid depends only on n_total, never on `threads`, so the
-    concatenated output is byte-identical for any worker count.  A
-    count below 1 is refused before any work.
+    concatenated output is byte-identical for any worker count.  The
+    caller checks n_total (`errors.require_int`).
     """
-    if n_total < 1:
-        raise ValidationError("n-samples", "must be positive")
     chunks = [(i, min(CHUNK, n_total - i * CHUNK)) for i in range((n_total + CHUNK - 1) // CHUNK)]
 
     def run(arg):

@@ -444,3 +444,51 @@ def test_twelve_significant_digits(capsys):
     est = out.strip().splitlines()[1].split(",")[2]
     assert len(est.replace(".", "").lstrip("0")) <= 12
     assert abs(float(est) - 0.7056) <= 0.003
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["cover", "--t", "inf"], {}, "t"),
+        (["dim", "--t", "inf"], {}, "t"),
+        (["cover", "--t", "1000"], {}, "t"),
+        (["mu", "--eps", "inf"], {}, "eps"),
+        (["nondiv", "--eps-grid", "nan,0.1,0.2,0.3"], {}, "eps-grid"),
+        (["nondiv", "--eps-grid", "inf,0.1,0.2"], {}, "eps-grid"),
+        (["cover"], {"constants": {"K3": math.nan}}, "constants"),
+        (["cover"], {"t": math.inf}, "t"),
+        (["mu"], {"eps": math.nan}, "eps"),
+        (["nondiv"], {"eps-grid": [math.inf, 0.1, 0.2]}, "eps-grid"),
+        (["bad", "--A", "0.5"], {"c": math.nan}, "c"),
+        (["delta"], {"basis": [[1.0, math.nan], [0.0, 1.0]]}, "basis"),
+    ],
+)
+def test_non_finite_reals_exit_1(tmp_path, capsys, argv, config, field):
+    """The strings nan/inf and JSON's NaN/Infinity exit 1 naming the field: no traceback, no warning, no report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([*argv, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["mu", "--eps", "0.1", "--n-samples", "2000"], {"eps", "n_samples", "hits", "mean", "stderr", "prediction", "z"}),
+        (["nondiv", "--n-samples", "20000"], {"t", "eps_grid", "fractions", "slope", "slope_ci", "slope_ok"}),
+        (["dim", "--k-max", "5", "--t", "1.0", "--c", "0.1"], {"levels_used", "log_counts", "slope", "intercept", "r2"}),
+        (
+            ["delta", "--brute"],
+            {"delta_euclid", "delta_sup", "delta_weighted", "min_vec_euclid", "min_vec_sup", "min_vec_weighted", "brute", "brute_agrees"},
+        ),
+    ],
+    ids=["mu", "nondiv", "dim", "delta"],
+)
+def test_results_keys_pinned(capsys, argv, keys):
+    """Reports are built from the result dataclasses: a new field cannot enter a report unnoticed."""
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert set(rep["results"]) == keys
