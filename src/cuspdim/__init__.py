@@ -22,16 +22,9 @@ from .covering import (
 )
 from .errors import (
     BudgetExceeded,
-    CoefficientBudgetExceeded,
     CuspDimError,
     DegenerateFit,
-    DeterminantError,
-    DimensionMismatch,
-    EnumerationBudgetExceeded,
     InvariantViolation,
-    RankError,
-    SamplerStall,
-    UnsupportedDimension,
     ValidationError,
 )
 from .flows import (
@@ -72,27 +65,20 @@ __version__ = "0.1.0"
 __all__ = [
     "BadVerdict",
     "BudgetExceeded",
-    "CoefficientBudgetExceeded",
     "CoverLevel",
     "CoverResult",
     "CuspDimError",
     "DegenerateFit",
-    "DeterminantError",
     "DimensionEstimate",
-    "DimensionMismatch",
-    "EnumerationBudgetExceeded",
     "EQUAL_WEIGHTS_2D",
     "InclusionReport",
     "InvariantViolation",
     "Lattice",
     "MeasureEstimate",
     "OrbitProfile",
-    "RankError",
-    "SamplerStall",
     "ScalingFit",
     "ShortVec",
     "Tessellation",
-    "UnsupportedDimension",
     "ValidationError",
     "WeightVector",
     "admissible_radius",

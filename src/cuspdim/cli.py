@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import covering, flows, haar, lattices
-from .errors import CuspDimError, EnumerationBudgetExceeded, ValidationError, require_int
+from .errors import BudgetExceeded, CuspDimError, ValidationError, require_int
 
 CONSTANT_DEFAULTS = {
     "K3": None,  # calibrated from the exact counts when not set
@@ -181,7 +181,7 @@ def _brute_minima(basis, w):
     d = basis.shape[0]
     bound, cap = 50, 10**9
     if (2 * bound + 1) ** d > cap:
-        raise EnumerationBudgetExceeded(f"brute box has {(2 * bound + 1) ** d} cells, cap is {cap}")
+        raise BudgetExceeded(f"brute box has {(2 * bound + 1) ** d} cells, cap is {cap}")
     axis = np.arange(-bound, bound + 1)
     tail = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * (d - 1), indexing="ij")], axis=1)
     # |v_k|^(1/(m i_k)) on the first m coordinates, |v_l|^(1/(n j_l)) on the rest
@@ -211,16 +211,15 @@ def cmd_delta(args, config, consts):
         "sup": lattices.shortest_vector(lat, "sup"),
         "weighted": lattices.shortest_vector_weighted(lat, w),
     }
-    res, rows = {}, []
+    res = {}
     if args.brute:
         res["brute"], res["brute_agrees"] = _brute_minima(lat.basis, w), {}
     for name, sv in svs.items():
         res[f"delta_{name}"] = sv.length
         res[f"min_vec_{name}"] = {"coeffs": list(sv.coeffs), "vec": sv.vec.tolist()}
-        rows.append(f"{name},{_fmt(sv.length)}")
         if args.brute:
             res["brute_agrees"][name] = abs(res["brute"][name] - sv.length) <= 1e-12
-    return res, [], 0, ("norm,delta", rows)
+    return res, [], 0, lambda: ("norm,delta", [f"{name},{_fmt(sv.length)}" for name, sv in svs.items()])
 
 
 def cmd_bad(args, config, consts):
@@ -253,9 +252,9 @@ def cmd_bad(args, config, consts):
     if verdict.classification == "Boundary":
         warns.append("Boundary verdict: evidence within the continuity margin of the threshold")
         code = 2
-    head = "classification,c_target,c_direct,orbit_min,margin"
-    row = f"{verdict.classification},{_fmt(c)},{_fmt(c_direct)},{_fmt(verdict.orbit_min)},{_fmt(verdict.margin)}"
-    return res, warns, code, (head, [row])
+    return res, warns, code, lambda: ("classification,c_target,c_direct,orbit_min,margin", [
+        f"{verdict.classification},{_fmt(c)},{_fmt(c_direct)},{_fmt(verdict.orbit_min)},{_fmt(verdict.margin)}"
+    ])
 
 
 def cmd_orbit(args, config, consts):
@@ -269,8 +268,9 @@ def cmd_orbit(args, config, consts):
         "n_samples": len(profile.ts),
         "samples": [[float(t), float(d)] for t, d in zip(profile.ts, profile.deltas)],
     }
-    rows = [f"{_fmt(float(t))},{_fmt(float(d))}" for t, d in zip(profile.ts, profile.deltas)]
-    return res, [], 0, ("t,delta_w", rows)
+    return res, [], 0, lambda: ("t,delta_w", [
+        f"{_fmt(float(t))},{_fmt(float(d))}" for t, d in zip(profile.ts, profile.deltas)
+    ])
 
 
 def cmd_mu(args, config, consts):
@@ -282,9 +282,9 @@ def cmd_mu(args, config, consts):
     if est.prediction is not None and est.stderr > 0:
         res["z"] = (est.mean - est.prediction) / est.stderr
     warns = [est.warning] if est.warning else []
-    head = "eps,mean,stderr,prediction"
-    row = f"{_fmt(est.eps)},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(est.prediction) if est.prediction is not None else ''}"
-    return res, warns, 0, (head, [row])
+    return res, warns, 0, lambda: ("eps,mean,stderr,prediction", [
+        f"{_fmt(est.eps)},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(est.prediction) if est.prediction is not None else ''}"
+    ])
 
 
 def cmd_nondiv(args, config, consts):
@@ -296,12 +296,11 @@ def cmd_nondiv(args, config, consts):
     fit = haar.nondivergence_profile(lat, w, t, grid, n, seed=args.seed_val, threads=args.threads_val)
     half = (fit.slope_ci[1] - fit.slope_ci[0]) / 2.0
     res = {"t": t, **_fields(fit), "slope_ok": bool(fit.slope >= 1.0 - half)}
-    rows = [
+    warns = [fit.warning] if fit.warning else []
+    return res, warns, 0, lambda: ("eps,fraction,stderr", [
         f"{_fmt(e)},{_fmt(f)},{_fmt(math.sqrt(max(f * (1 - f), 0.0) / n))}"
         for e, f in zip(fit.eps_grid, fit.fractions)
-    ]
-    warns = [fit.warning] if fit.warning else []
-    return res, warns, 0, ("eps,fraction,stderr", rows)
+    ])
 
 
 def _survivor_cover(args, config):
@@ -339,8 +338,9 @@ def cmd_cover(args, config, consts):
         "count_bound_sweep": sweep,
     }
     warns = ["cover truncated at the box budget"] if cover.truncated else []
-    rows = [f"{lv.k},{_fmt(lv.box_size)},{lv.count}" for lv in cover]
-    return res, warns, 3 if cover.truncated else 0, ("level,box_size,count", rows)
+    return res, warns, 3 if cover.truncated else 0, lambda: ("level,box_size,count", [
+        f"{lv.k},{_fmt(lv.box_size)},{lv.count}" for lv in cover
+    ])
 
 
 def cmd_dim(args, config, consts):
@@ -366,9 +366,7 @@ def cmd_dim(args, config, consts):
         res["oracle"] = {"N": N, "depth": depth, "estimate": oracle}
         res["oracle_gap"] = abs(fit.slope - oracle)
         res["oracle_within_005"] = bool(abs(fit.slope - oracle) <= 0.05)
-    head = "slope,intercept,r2"
-    row = f"{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.r2)}"
-    return res, warns, code, (head, [row])
+    return res, warns, code, lambda: ("slope,intercept,r2", [f"{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.r2)}"])
 
 
 def cmd_oracle_cf(args, config, consts):
@@ -380,10 +378,11 @@ def cmd_oracle_cf(args, config, consts):
     if prev is not None:
         res["estimate_prev_depth"] = prev
         res["depth_drift"] = abs(est - prev)
-    head = "N,depth,estimate"
-    return res, [], 0, (head, [f"{N},{depth},{_fmt(est)}"])
+    return res, [], 0, lambda: ("N,depth,estimate", [f"{N},{depth},{_fmt(est)}"])
 
 
+# each command returns (results, warnings, exit code, csv table); the table is a
+# function, so that its rows are formatted only when --format csv asks for them
 COMMANDS = {
     "delta": cmd_delta,
     "bad": cmd_bad,
@@ -452,12 +451,13 @@ def main(argv=None):
         args.threads_val = threads
         consts = _resolve(args, config, "constants", CONSTANT_DEFAULTS, _constants)
         fmt = _resolve(args, config, "format", "json", _format)
-        res, warns, code, (csv_head, csv_rows) = COMMANDS[args.command](args, config, consts)
+        res, warns, code, csv_table = COMMANDS[args.command](args, config, consts)
     except CuspDimError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.exit_code
 
     if fmt == "csv":
+        csv_head, csv_rows = csv_table()
         text = csv_head + "\n" + "\n".join(csv_rows) + "\n"
     else:
         report = {

@@ -27,7 +27,7 @@ the reduced integer basis of every kept box, and each child's
 reduction starts from its parent's (the child's h moves by less than
 the parent's side, so a few steps finish it); each pass of the
 reduction runs only on the rows not yet reduced.  Coefficients past the
-exact-int64 range raise CoefficientBudgetExceeded.  Other weights and
+exact-int64 range raise BudgetExceeded.  Other weights and
 dimensions evaluate delta_w(g_T u_h x0) by exact enumeration per box.
 The float reduction in `haar` stays separate: one integer-tracked
 reducer for both was either less accurate with float64 expansion or
@@ -38,17 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import (
-    BudgetExceeded,
-    CoefficientBudgetExceeded,
-    DegenerateFit,
-    DimensionMismatch,
-    InvariantViolation,
-    ValidationError,
-    require_int,
-)
+from .errors import BudgetExceeded, DegenerateFit, InvariantViolation, ValidationError, require_int
 from .flows import T_LIMIT, cusp_radius, g_t, u_A
 from .lattices import delta_weighted, make_lattice
 
@@ -79,6 +70,16 @@ def _lambdas(w):
     return np.array([ik + jl for ik in w.i for jl in w.j])
 
 
+def _flow_rates(w, t, positive=False):
+    """The rates i_k + j_l, once t >= 0 (t > 0 if `positive`) and every e^((i_k + j_l) t) is finite."""
+    lams = _lambdas(w)
+    t_cap = T_LIMIT / float(np.max(lams))
+    if not ((t > 0 if positive else t >= 0) and t <= t_cap):
+        kind = "positive" if positive else "nonnegative"
+        raise ValidationError("t", f"must be {kind} with e^((i_k + j_l) t) finite: need t <= {t_cap:.6g}")
+    return lams
+
+
 def _per_axis_count(E):
     """Translates of a length-1/E interval meeting (0, 1), open boxes.
 
@@ -94,12 +95,11 @@ def _per_axis_count(E):
 
 def count_S_rt(tess, w, t):
     """Exact count of gamma in Lambda_r with g_{-t} V_r gamma g_t meeting V_r."""
-    if not 0 <= t < math.inf:
-        raise ValidationError("t", "must be nonnegative and finite")
+    lams = _flow_rates(w, t)
     if tess.L != w.m * w.n:
-        raise DimensionMismatch(f"tessellation L={tess.L} != m*n={w.m * w.n}")
+        raise ValidationError("dim", f"tessellation L={tess.L} != m*n={w.m * w.n}")
     total = 1
-    for lam in _lambdas(w):
+    for lam in lams:
         total *= _per_axis_count(math.exp(lam * t))
     return total
 
@@ -111,10 +111,8 @@ def count_S_rt_brute(tess, w, t):
     |gamma_kappa| <= ceil(e^{lambda_max t}) + 2, with the same relative
     tolerance convention for the open-interval comparisons.
     """
-    if not 0 <= t < math.inf:
-        raise ValidationError("t", "must be nonnegative and finite")
     total = 1
-    for lam in _lambdas(w):
+    for lam in _flow_rates(w, t):
         f = math.exp(-lam * t)
         G = int(math.ceil(math.exp(lam * t))) + 2
         cnt = 0
@@ -132,7 +130,7 @@ def lemma61_bound(tess, w, t, K3):
     """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r)), lambda0 = min lambda."""
     if not 0 < K3 < math.inf:
         raise ValidationError("K3", "must be positive and finite")
-    lams = _lambdas(w)
+    lams = _flow_rates(w, t)
     lam0 = float(np.min(lams))
     vol = tess.side**tess.L
     return math.exp(float(np.sum(lams)) * t) * (1.0 + K3 * math.exp(-lam0 * t) / vol)
@@ -186,7 +184,7 @@ def _coeff_guard(*arrays):
     # int64 products in the reduction stay exact only below 2^31
     for a in arrays:
         if np.any(np.abs(a) > (1 << 31)):
-            raise CoefficientBudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
+            raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
 
 
 def sup_delta_flow_batch(h, T, basis, coeffs):
@@ -195,7 +193,7 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
     Integer coefficient pairs of both working basis vectors are carried
     through the Gauss reduction and re-expanded in extended precision
     every step; with |coeffs| <= 2^31 the arithmetic is exact (beyond it
-    CoefficientBudgetExceeded is raised), and the final sup minimizer
+    BudgetExceeded is raised), and the final sup minimizer
     over a reduced pair has coefficients in {(1,0), (0,1), (1,1), (1,-1)}
     (a^2 - |ab| + b^2 <= 2).
 
@@ -305,14 +303,11 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     eps = cusp_radius(c, w.d)
     if not 0 < r <= R_CAP:
         raise ValidationError("r", f"must be in (0, {R_CAP}]")
-    lams = _lambdas(w)
-    t_cap = T_LIMIT / float(np.max(lams))
-    if not 0 < t <= t_cap:
-        raise ValidationError("t", f"must be positive with e^((i_k + j_l) t) finite: need t <= {t_cap:.6g}")
+    lams = _flow_rates(w, t, positive=True)
     k_max = require_int("k-max", k_max)
     budget = require_int("budget", budget)
     if x0.dim != w.d:
-        raise DimensionMismatch(f"x0 dim {x0.dim} != weight dimension {w.d}")
+        raise ValidationError("dim", f"x0 dim {x0.dim} != weight dimension {w.d}")
     L = w.m * w.n
     tess = tessellation_new(L, r)
     side = tess.side
@@ -429,17 +424,20 @@ def box_dimension_fit(levels, sizes=None):
 
 
 def _cf_lengths(N, depth):
-    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at the given depth."""
+    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at depths depth-1 and depth, from one walk."""
     cur = np.array([1], dtype=np.int64)  # q_0
     prev = np.array([0], dtype=np.int64)  # q_{-1}
     digits = np.arange(1, N + 1, dtype=np.int64)
-    for _ in range(depth):
+    levels = []
+    for k in range(1, depth + 1):
         new_cur = (digits[:, None] * cur[None, :] + prev[None, :]).reshape(-1)
         prev = np.tile(cur, N)
         cur = new_cur
-    q = cur.astype(np.float64)
-    qp = prev.astype(np.float64)
-    return 1.0 / (q * (q + qp))
+        if k >= depth - 1:
+            q = cur.astype(np.float64)
+            qp = prev.astype(np.float64)
+            levels.append(1.0 / (q * (q + qp)))
+    return levels
 
 
 def cf_digit_oracle(N, depth):
@@ -457,10 +455,11 @@ def cf_digit_oracle(N, depth):
         raise BudgetExceeded(f"N^depth = {N ** depth} exceeds cap {CF_BUDGET}")
     if N == 1:
         return 0.0  # single cylinder per depth: the one-point golden tail
-    l_prev = _cf_lengths(N, depth - 1)
-    l_cur = _cf_lengths(N, depth)
+    l_prev, l_cur = _cf_lengths(N, depth)
 
     def f(s):
         return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
+
+    from scipy.optimize import brentq  # imported here: scipy is most of the package's import time
 
     return float(brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16))

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the one rule for counts.
 
-Every error that a caller can act on gets its own class, and each class
-carries the CLI's exit code and stderr label: 1 "error" (invalid input,
-package defects), 2 "degenerate" (inconclusive fits), 3 "budget exceeded".
+One class per exit code and kind, each carrying the CLI's exit code and
+stderr label: ValidationError, 1 "error" (invalid input, the message
+names the field); InvariantViolation, 1 "error" (a package defect);
+DegenerateFit, 2 "degenerate" (inconclusive fits); BudgetExceeded, 3
+"budget exceeded" (a work cap was hit, the message names the cap).
 Every count (q-bound, L, k-max, budget, N, depth, n-samples, n-perturb,
 the counts of a dimension fit and the CLI's threads) goes through
 `require_int` in the function that consumes it, so 0, 2.5, nan and inf
@@ -37,30 +39,6 @@ def require_int(field, value, least=1):
     return int(value)
 
 
-class RankError(ValidationError):
-    """Basis matrix is singular."""
-
-    def __init__(self, message="basis matrix is singular"):
-        super().__init__("basis", message)
-
-
-class DeterminantError(ValidationError):
-    """Basis determinant is not 1 within tolerance."""
-
-    def __init__(self, det, tol):
-        super().__init__("basis", f"|det - 1| = {abs(det - 1.0):.3e} exceeds tol {tol:.1e}")
-
-
-class DimensionMismatch(ValidationError):
-    def __init__(self, message):
-        super().__init__("dim", message)
-
-
-class UnsupportedDimension(ValidationError):
-    def __init__(self, message):
-        super().__init__("dim", message)
-
-
 class InvariantViolation(CuspDimError):
     """An internal consistency check failed: a defect in the package, not in the input."""
 
@@ -77,15 +55,3 @@ class BudgetExceeded(CuspDimError):
 
     exit_code = 3
     label = "budget exceeded"
-
-
-class EnumerationBudgetExceeded(BudgetExceeded):
-    """Lattice-point enumeration box exceeds the configured cell limit."""
-
-
-class CoefficientBudgetExceeded(BudgetExceeded):
-    """Exact integer reduction coefficients left the range where int64 stays exact."""
-
-
-class SamplerStall(BudgetExceeded):
-    """Rejection sampler exceeded its proposal cap."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, ValidationError, require_int
+from .errors import BudgetExceeded, ValidationError, require_int
 from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 
 # e^t is finite in float64 up to t = ln(max float) = 709.78
@@ -197,14 +197,14 @@ def direct_bad_constant(A, w, q_bound):
     ||.||_i is a coordinatewise max of even increasing functions; so q
     and -q give the same value and only one of each pair is walked.
     Nonincreasing in q_bound by construction.  Raises
-    EnumerationBudgetExceeded before allocating when the number of q
+    BudgetExceeded before allocating when the number of q
     walked exceeds CELL_BUDGET; the q are built one 2^20-row chunk at a time.
     """
     q_bound = require_int("q-bound", q_bound)
     A = _as_matrix(A, w)
     cells = ((2 * q_bound + 1) ** w.n - 1) // 2
     if cells > CELL_BUDGET:
-        raise EnumerationBudgetExceeded(f"{cells} values of q, budget is {CELL_BUDGET}")
+        raise BudgetExceeded(f"{cells} values of q, budget is {CELL_BUDGET}")
     step = 1 << 20
     best = np.inf
     for lo in range(1, cells + 1, step):

@@ -29,18 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import rng as rngmod
-from .errors import (
-    BudgetExceeded,
-    DegenerateFit,
-    InvariantViolation,
-    SamplerStall,
-    UnsupportedDimension,
-    ValidationError,
-    require_int,
-)
+from .errors import BudgetExceeded, DegenerateFit, InvariantViolation, ValidationError, require_int
 from .flows import T_LIMIT
 
 Y_MIN = math.sqrt(3.0) / 2.0
@@ -89,7 +80,7 @@ def sample_batch(rng, count):
         if proposed + batch > cap:
             batch = cap - proposed
             if batch <= 0:
-                raise SamplerStall(f"rejection sampler exceeded {cap} proposals")
+                raise BudgetExceeded(f"rejection sampler exceeded {cap} proposals")
         x, y = _propose(rng, batch)
         ok = x * x + y * y >= 1.0
         hits = np.flatnonzero(ok)
@@ -183,7 +174,7 @@ def delta2_batch(B, norm="sup"):
 
 def _require_d2(w):
     if w.d != 2:
-        raise UnsupportedDimension("Haar sampling is implemented for d = 2 only")
+        raise ValidationError("dim", "Haar sampling is implemented for d = 2 only")
 
 
 def siegel_prediction(eps, w):
@@ -310,6 +301,8 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     resid = Y - (slope * X + intercept)
     dof = max(len(X) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((X - X.mean()) ** 2)))
+    from scipy.special import stdtrit  # imported here: scipy is most of the package's import time
+
     half = float(stdtrit(dof, 0.975)) * se
     return ScalingFit(
         eps_grid=list(eps_grid),

@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CoefficientBudgetExceeded,
-    DeterminantError,
-    DimensionMismatch,
-    EnumerationBudgetExceeded,
-    RankError,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .errors import BudgetExceeded, ValidationError
 
 DET_TOL = 1e-9
 CELL_BUDGET = 10**8
@@ -120,14 +112,14 @@ def make_lattice(basis):
         raise ValidationError("basis", "basis must be a square matrix")
     d = basis.shape[0]
     if not 2 <= d <= 5:
-        raise UnsupportedDimension(f"supported dimensions are 2..5, got {d}")
+        raise ValidationError("dim", f"supported dimensions are 2..5, got {d}")
     if not np.isfinite(basis).all():
         raise ValidationError("basis", "entries must be finite")
     det = float(np.linalg.det(basis))
     if abs(det) < 1e-12 or np.linalg.matrix_rank(basis) < d:
-        raise RankError()
+        raise ValidationError("basis", "basis matrix is singular")
     if abs(det - 1.0) > DET_TOL:
-        raise DeterminantError(det, DET_TOL)
+        raise ValidationError("basis", f"|det - 1| = {abs(det - 1.0):.3e} exceeds tol {DET_TOL:.1e}")
     return Lattice(dim=d, basis=basis)
 
 
@@ -146,9 +138,7 @@ def _iter_coeff_box(basis, bounds):
     for b in bounds:
         cells *= 2 * b + 1
     if cells > CELL_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"coefficient box has {cells} cells, budget is {CELL_BUDGET}"
-        )
+        raise BudgetExceeded(f"coefficient box has {cells} cells, budget is {CELL_BUDGET}")
     d = len(bounds)
     tail_axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[1:]]
     tail_cells = cells // (2 * bounds[0] + 1)
@@ -230,7 +220,7 @@ def _enumerate_min(B, Br, M, bounds, lengths_of):
     Raw coefficients must stay below 2^53, where floats hold them exactly.
     """
     if float(np.max(np.abs(M) @ np.asarray(bounds, dtype=float))) >= _EXACT_INT:
-        raise CoefficientBudgetExceeded("raw coefficients of the search box exceed 2^53")
+        raise BudgetExceeded("raw coefficients of the search box exceed 2^53")
     best_len = np.inf
     keep_C = []
     for C, V in _iter_coeff_box(Br, bounds):
@@ -278,7 +268,7 @@ def quasinorm(v, w):
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != w.d:
-        raise DimensionMismatch(f"vector length {v.shape[-1]} != weight dimension {w.d}")
+        raise ValidationError("dim", f"vector length {v.shape[-1]} != weight dimension {w.d}")
     return float(_quasinorm_rows(v.reshape(1, -1), w)[0])
 
 
@@ -297,7 +287,7 @@ def shortest_vector_weighted(lat, w):
     |v_{m+l}| <= b^(n j_l).
     """
     if lat.dim != w.d:
-        raise DimensionMismatch(f"lattice dim {lat.dim} != weight dimension {w.d}")
+        raise ValidationError("dim", f"lattice dim {lat.dim} != weight dimension {w.d}")
     B = lat.basis
     Br, M = _lll_reduce(B)
     Brinv = np.linalg.inv(Br)

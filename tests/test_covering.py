@@ -83,7 +83,7 @@ def test_kernel_vs_enumeration():
 
 def test_kernel_coefficient_guard():
     # convergent denominators reach 2^31 once e^T does (T >= 22)
-    with pytest.raises(cd.CoefficientBudgetExceeded):
+    with pytest.raises(cd.BudgetExceeded, match="^Gauss reduction coefficients exceeded the exact-int64 range 2\\^31$"):
         sup_delta_flow_batch(np.array([1.0 / math.pi]), 23.0, np.eye(2), _identity_rows(1))
 
 

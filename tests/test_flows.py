@@ -177,7 +177,7 @@ def test_direct_constant_sqrt2():
 
 def test_direct_constant_budget_checked_first():
     """A q-range beyond CELL_BUDGET is refused before anything is allocated."""
-    with pytest.raises(cd.EnumerationBudgetExceeded):
+    with pytest.raises(cd.BudgetExceeded, match="^1000000000000 values of q, budget is 100000000$"):
         cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 10**12)
 
 
@@ -221,7 +221,7 @@ def test_direct_constant_budget_counts_half_the_box(monkeypatch):
     w = cd.WeightVector((1.0,), (0.5, 0.5))
     A = np.array([[PHI_M1, SQRT2_M1]])
     assert cd.direct_bad_constant(A, w, 2) == pytest.approx(_scan_bad_constant(A, w, 2), rel=1e-12)
-    with pytest.raises(cd.EnumerationBudgetExceeded):
+    with pytest.raises(cd.BudgetExceeded, match="^24 values of q, budget is 12$"):
         cd.direct_bad_constant(A, w, 3)
 
 

@@ -179,7 +179,7 @@ def test_sampler_stall():
         def uniform(self, lo, hi, n):
             return np.zeros(n)
 
-    with pytest.raises(cd.SamplerStall):
+    with pytest.raises(cd.BudgetExceeded, match="^rejection sampler exceeded 1000120 proposals$"):
         sample_batch(ZeroRng(), 10)
 
 
@@ -338,5 +338,5 @@ def test_inclusion_informational_above_bound():
 def test_validation_errors():
     with pytest.raises(cd.ValidationError):
         cd.estimate_mu_U(-0.1, W2, 100, seed=0)
-    with pytest.raises(cd.UnsupportedDimension):
+    with pytest.raises(cd.ValidationError, match="^dim: Haar sampling is implemented for d = 2 only$"):
         cd.estimate_mu_U(0.1, cd.WeightVector((1.0,), (0.5, 0.5)), 100, seed=0)

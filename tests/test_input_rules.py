@@ -88,6 +88,25 @@ def test_real_ranges_refuse_nan_and_inf(call, field):
     assert err.value.field == field
 
 
+# the five covering functions that exponentiate the flow time, each with t set to the given value
+FLOW_TIME_CALLS = {
+    "count_S_rt": lambda t: covering.count_S_rt(TESS, W2, t),
+    "count_S_rt_brute": lambda t: covering.count_S_rt_brute(TESS, W2, t),
+    "lemma61_bound": lambda t: covering.lemma61_bound(TESS, W2, t, 1.0),
+    "calibrate_K3": lambda t: covering.calibrate_K3(TESS, W2, [1.0, t]),
+    "survivor_cover": lambda t: covering.survivor_cover(Z2, W2, 0.25, 0.5, t, 2),
+}
+
+
+@pytest.mark.parametrize("t", [400.0, math.nan, math.inf, -1.0], ids=["400", "nan", "inf", "-1"])
+@pytest.mark.parametrize("name", sorted(FLOW_TIME_CALLS))
+def test_flow_time_capped(name, t):
+    """A t at which some e^((i_k + j_l) t) overflows float64 (t > 354.9 at weights (1; 1)), or a
+    negative, nan or inf t, is a ValidationError naming t, not an OverflowError or a nan."""
+    with pytest.raises(cd.ValidationError, match=r"^t: must be (nonnegative|positive) with e\^\(\(i_k \+ j_l\) t\) finite: need t <= 354\.891$"):
+        FLOW_TIME_CALLS[name](t)
+
+
 @pytest.mark.parametrize("bad", [4.5, math.nan, -4])
 def test_fit_counts_are_integers_ge_0(bad):
     """The counts of a dimension fit go through the same rule, with 0 allowed: never truncated."""

@@ -3,10 +3,16 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cuspdim as cd
-from cuspdim import covering, haar
+from cuspdim import covering, errors, haar
 
 SRC = Path(cd.__file__).parent
 
@@ -20,8 +26,19 @@ def test_all_names_resolve_once():
 
 def test_removed_names_stay_gone():
     """The orbit window lives in orbit_profile and the verdict in classify_from_profile;
-    parameters that only tests set are module constants or derived values, not arguments."""
-    for name in ("FlowSpec", "dani_classify"):
+    parameters that only tests set are module constants or derived values, not arguments;
+    errors have one class per exit code, and the message names the field or the cap."""
+    for name in (
+        "FlowSpec",
+        "dani_classify",
+        "RankError",
+        "DeterminantError",
+        "DimensionMismatch",
+        "UnsupportedDimension",
+        "EnumerationBudgetExceeded",
+        "CoefficientBudgetExceeded",
+        "SamplerStall",
+    ):
         assert not hasattr(cd, name)
         assert name not in cd.__all__
     for fn, param in [
@@ -47,9 +64,25 @@ def test_removed_names_stay_gone():
     ]:
         assert inspect.signature(fn).parameters[param].default is inspect.Parameter.empty, (fn.__name__, param)
     assert not hasattr(cd.WeightVector, "equal")
-    assert not hasattr(cd.DeterminantError(2.0, 1e-9), "det")
+    with pytest.raises(cd.ValidationError, match="^basis: ") as err:
+        cd.make_lattice(np.diag([2.0, 1.0]))
+    assert not hasattr(err.value, "det")
     for cls, field in [(cd.Tessellation, "r"), (cd.BadVerdict, "c_target")]:
         assert field not in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, field)
+
+
+def test_one_error_class_per_exit_code():
+    """cuspdim.errors holds the base class and one class per exit code and kind."""
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == {"CuspDimError", "ValidationError", "InvariantViolation", "DegenerateFit", "BudgetExceeded"}
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported by the two functions that call it, not by importing the CLI."""
+    code = "import sys, cuspdim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_no_unread_module_names():
