@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateFit, InvariantViolation, ValidationError, require_int
 from .flows import T_LIMIT, cusp_radius, g_t, u_A
-from .lattices import delta_weighted, make_lattice
+from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 
 BOX_BUDGET = 10**7
 CF_BUDGET = 10**7
@@ -70,14 +70,30 @@ def _lambdas(w):
     return np.array([ik + jl for ik in w.i for jl in w.j])
 
 
-def _flow_rates(w, t, positive=False):
-    """The rates i_k + j_l, once t >= 0 (t > 0 if `positive`) and every e^((i_k + j_l) t) is finite."""
-    lams = _lambdas(w)
-    t_cap = T_LIMIT / float(np.max(lams))
+def _require_flow_time(t, rate, positive=False):
+    """ValidationError("t") unless t >= 0 (t > 0 if `positive`) and e^(rate t) is finite."""
+    t_cap = T_LIMIT / rate
     if not ((t > 0 if positive else t >= 0) and t <= t_cap):
         kind = "positive" if positive else "nonnegative"
         raise ValidationError("t", f"must be {kind} with e^((i_k + j_l) t) finite: need t <= {t_cap:.6g}")
+
+
+def _flow_rates(w, t, positive=False):
+    """The rates i_k + j_l, once t >= 0 (t > 0 if `positive`) and every e^((i_k + j_l) t) is finite."""
+    lams = _lambdas(w)
+    _require_flow_time(t, float(np.max(lams)), positive)
     return lams
+
+
+def _volume_rate(w, t):
+    """The sum of the rates i_k + j_l, once t >= 0 and the volume ratio e^((sum of i_k + j_l) t) is finite.
+
+    The sum is m + n, at least the largest rate, so this cap is the
+    tighter one whenever m n >= 2.
+    """
+    total = float(np.sum(_lambdas(w)))
+    _require_flow_time(t, total)
+    return total
 
 
 def _per_axis_count(E):
@@ -108,13 +124,18 @@ def count_S_rt_brute(tess, w, t):
     """Independent enumeration oracle: test every translate's interval overlap.
 
     Works per coordinate (the boxes are axis-aligned products) over
-    |gamma_kappa| <= ceil(e^{lambda_max t}) + 2, with the same relative
-    tolerance convention for the open-interval comparisons.
+    |gamma_kappa| <= ceil(e^{lambda t}) + 2, with the same relative
+    tolerance convention for the open-interval comparisons.  Raises
+    BudgetExceeded before any walk when one axis has more than
+    CELL_BUDGET translates.
     """
+    lams = _flow_rates(w, t)
+    Gs = [int(math.ceil(math.exp(lam * t))) + 2 for lam in lams]
+    if 2 * max(Gs) + 1 > CELL_BUDGET:
+        raise BudgetExceeded(f"{2 * max(Gs) + 1} translates on one axis, budget is {CELL_BUDGET}")
     total = 1
-    for lam in _flow_rates(w, t):
+    for lam, G in zip(lams, Gs):
         f = math.exp(-lam * t)
-        G = int(math.ceil(math.exp(lam * t))) + 2
         cnt = 0
         for gamma in range(-G, G + 1):
             lo = gamma * f
@@ -130,10 +151,10 @@ def lemma61_bound(tess, w, t, K3):
     """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r)), lambda0 = min lambda."""
     if not 0 < K3 < math.inf:
         raise ValidationError("K3", "must be positive and finite")
-    lams = _flow_rates(w, t)
-    lam0 = float(np.min(lams))
+    total = _volume_rate(w, t)
+    lam0 = float(np.min(_lambdas(w)))
     vol = tess.side**tess.L
-    return math.exp(float(np.sum(lams)) * t) * (1.0 + K3 * math.exp(-lam0 * t) / vol)
+    return math.exp(total * t) * (1.0 + K3 * math.exp(-lam0 * t) / vol)
 
 
 def calibrate_K3(tess, w, t_grid):
@@ -141,13 +162,13 @@ def calibrate_K3(tess, w, t_grid):
 
     Measured once as the max observed excess; any larger K3 also works.
     """
-    lams = _lambdas(w)
-    lam0 = float(np.min(lams))
+    lam0 = float(np.min(_lambdas(w)))
     vol = tess.side**tess.L
     need = 1e-12
     for t in t_grid:
+        total = _volume_rate(w, t)
         exact = count_S_rt(tess, w, t)
-        ratio = math.exp(float(np.sum(lams)) * t)
+        ratio = math.exp(total * t)
         excess = (exact / ratio - 1.0) * vol * math.exp(lam0 * t)
         need = max(need, excess)
     return need * (1.0 + 1e-12)

@@ -1,5 +1,7 @@
 """Diagonal flows, orbit minima, and the badly-approximable classification."""
 
+import ast
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -194,17 +196,17 @@ def _scan_bad_constant(A, w, q_bound):
     return best
 
 
-@pytest.mark.parametrize(
-    "i, j",
-    [
-        ((1.0,), (0.5, 0.5)),
-        ((0.4, 0.6), (0.3, 0.7)),
-        ((1.0,), (0.2, 0.3, 0.5)),
-        ((1.0,), (1.0,)),
-        ((0.4, 0.6), (1.0,)),
-        ((0.4, 0.6), (0.2, 0.3, 0.5)),
-    ],
-)
+GRID_WEIGHTS = [
+    ((1.0,), (0.5, 0.5)),
+    ((0.4, 0.6), (0.3, 0.7)),
+    ((1.0,), (0.2, 0.3, 0.5)),
+    ((1.0,), (1.0,)),
+    ((0.4, 0.6), (1.0,)),
+    ((0.4, 0.6), (0.2, 0.3, 0.5)),
+]
+
+
+@pytest.mark.parametrize("i, j", GRID_WEIGHTS)
 def test_direct_constant_grid_matches_product_scan(i, j):
     """The chunked half-box walk, one of each +-q, equals a plain scan over every q."""
     w = cd.WeightVector(i, j)
@@ -213,6 +215,18 @@ def test_direct_constant_grid_matches_product_scan(i, j):
         A = rng.uniform(-1.0, 1.0, (w.m, w.n))
         got = cd.direct_bad_constant(A, w, q_bound)
         assert got == pytest.approx(_scan_bad_constant(A, w, q_bound), rel=1e-12)
+
+
+@pytest.mark.parametrize("i, j", GRID_WEIGHTS)
+def test_direct_constant_blocks_match_one_block(i, j, monkeypatch):
+    """Blocks of 7 rows, so that every q_bound crosses block edges, give the bits of one block and of the scan."""
+    w = cd.WeightVector(i, j)
+    rng = np.random.default_rng(len(i) * 10 + len(j))
+    cases = [(rng.uniform(-1.0, 1.0, (w.m, w.n)), q_bound) for q_bound in (1, 2, 4, 6)]
+    whole = [cd.direct_bad_constant(A, w, q_bound) for A, q_bound in cases]
+    monkeypatch.setattr(cd.flows, "DIRECT_BLOCK", 7)
+    for (A, q_bound), want in zip(cases, whole):
+        assert cd.direct_bad_constant(A, w, q_bound) == want == _scan_bad_constant(A, w, q_bound)
 
 
 def test_direct_constant_budget_counts_half_the_box(monkeypatch):
@@ -245,6 +259,36 @@ def test_direct_constant_grid_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_direct_constant_1x1_memory():
+    """The bench-size 1 x 1 walk (1,790,515 values of q) holds a few block-sized arrays at a time."""
+    tracemalloc.start()
+    try:
+        cd.direct_bad_constant(np.array([[PHI_M1]]), W2, 1790515)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_direct_constant_shares_no_code_with_the_orbit():
+    """The brute-force oracle, and every flows function it calls, never names the record frontier,
+    the 1 x 1 fast path, orbit_profile or anything of lattices: `bad` compares the two sides."""
+    tree = ast.parse(inspect.getsource(cd.flows))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    lattice_fns = {
+        name for name, f in inspect.getmembers(cd.lattices, inspect.isfunction) if f.__module__ == cd.lattices.__name__
+    }
+    banned = {"_record_frontier", "_profile_fastpath", "orbit_profile", "lattices"} | lattice_fns
+    seen, todo = set(), ["direct_bad_constant"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        names = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+        assert not names & banned, (name, sorted(names & banned))
+        todo += [n for n in names if n in defs and n not in seen]
+    assert {"_as_matrix", "_q_half_rows", "_weighted_norm"} <= seen
 
 
 def test_direct_constant_monotone_in_q_bound():

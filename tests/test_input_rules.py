@@ -107,6 +107,31 @@ def test_flow_time_capped(name, t):
         FLOW_TIME_CALLS[name](t)
 
 
+W3 = cd.WeightVector((1.0,), (0.5, 0.5))
+TESS2 = covering.tessellation_new(2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: covering.lemma61_bound(TESS2, W3, t, 1.0), id="lemma61_bound"),
+        pytest.param(lambda t: covering.calibrate_K3(TESS2, W3, [1.0, t]), id="calibrate_K3"),
+    ],
+)
+def test_volume_ratio_time_capped(call):
+    """At weights (1; 0.5, 0.5) the bound forms e^(3 t): t = 300 passes the per-rate cap 709.78 / 1.5 but not
+    709.78 / 3, and is a ValidationError naming that cap, not an OverflowError; the count keeps its own cap."""
+    with pytest.raises(cd.ValidationError, match=r"^t: must be nonnegative with .* finite: need t <= 236\.594$"):
+        call(300.0)
+    assert covering.count_S_rt(TESS2, W3, 300.0) > 0
+
+
+def test_brute_count_budget_checked_first():
+    """At weights (1; 1) and t = 10 one axis has 2 ceil(e^20) + 5 translates: refused before the walk."""
+    with pytest.raises(cd.BudgetExceeded, match="^970330397 translates on one axis, budget is 100000000$"):
+        covering.count_S_rt_brute(TESS, W2, 10.0)
+
+
 @pytest.mark.parametrize("bad", [4.5, math.nan, -4])
 def test_fit_counts_are_integers_ge_0(bad):
     """The counts of a dimension fit go through the same rule, with 0 allowed: never truncated."""
