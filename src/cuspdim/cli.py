@@ -3,9 +3,10 @@
 The CLI only decodes flags and config into typed values (`_resolve`);
 the library function that consumes a value checks it, and each error
 class carries its exit code (`cuspdim.errors`).  Reports echo the
-resolved config and the constants block so no calibration drifts
-silently; with --no-timestamp two runs of the same config produce
-byte-identical output.
+resolved config; a constant such as `cover`'s K3 is calibrated in the
+run and reported with its results, never read from the config.  With
+--no-timestamp two runs of the same config produce byte-identical
+output.
 """
 
 import argparse
@@ -17,26 +18,17 @@ import math
 import subprocess
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import covering, flows, haar, lattices
+from . import __version__, covering, flows, haar, lattices
 from .errors import BudgetExceeded, CuspDimError, ValidationError, require_int
-
-CONSTANT_DEFAULTS = {
-    "K3": None,  # calibrated from the exact counts when not set
-}
 
 
 @functools.cache
 def _version():
     """Package version and `git describe`, computed once per process."""
-    try:
-        v = metadata.version("cuspdim")
-    except metadata.PackageNotFoundError:  # run from the source tree
-        from . import __version__ as v
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -46,10 +38,10 @@ def _version():
             timeout=5,
         )
         if desc.returncode == 0:
-            return f"cuspdim {v} ({desc.stdout.strip()})"
+            return f"cuspdim {__version__} ({desc.stdout.strip()})"
     except Exception:
         pass
-    return f"cuspdim {v}"
+    return f"cuspdim {__version__}"
 
 
 def _round12(obj):
@@ -83,6 +75,8 @@ def _load_config(path):
         raise ValidationError("config", f"invalid JSON: {e}")
     if not isinstance(obj, dict):
         raise ValidationError("config", "top level must be a JSON object")
+    if "constants" in obj:
+        raise ValidationError("constants", "not a config key: `cover` calibrates K3 from the exact counts and reports it in its results")
     return obj
 
 
@@ -140,16 +134,6 @@ def _lattice(args, config, w):
     return lattices.make_lattice(np.eye(w.d)) if lat is None else lat
 
 
-def _constants(raw):
-    """The constants block: known names only, each a number or null (calibrated)."""
-    block = dict(CONSTANT_DEFAULTS)
-    for k, v in {**raw}.items():
-        if k not in block:
-            raise ValidationError(f"constants.{k}", "unknown constant")
-        block[k] = None if v is None else _real(v)
-    return block
-
-
 def _format(raw):
     """"json" or "csv"; anything else is a ValueError."""
     if raw not in ("json", "csv"):
@@ -203,7 +187,7 @@ def _fields(result):
     return {k: v for k, v in dataclasses.asdict(result).items() if k != "warning"}
 
 
-def cmd_delta(args, config, consts):
+def cmd_delta(args, config):
     w = _weights(args, config)
     lat = _lattice(args, config, w)
     svs = {
@@ -222,7 +206,7 @@ def cmd_delta(args, config, consts):
     return res, [], 0, lambda: ("norm,delta", [f"{name},{_fmt(sv.length)}" for name, sv in svs.items()])
 
 
-def cmd_bad(args, config, consts):
+def cmd_bad(args, config):
     w = _weights(args, config)
     A, t_max, dt = _orbit_args(args, config)
     c = _resolve(args, config, "c", REQUIRED, _real)
@@ -257,7 +241,7 @@ def cmd_bad(args, config, consts):
     ])
 
 
-def cmd_orbit(args, config, consts):
+def cmd_orbit(args, config):
     w = _weights(args, config)
     A, t_max, dt = _orbit_args(args, config)
     profile = flows.orbit_profile(A, w, t_max, dt)
@@ -273,7 +257,7 @@ def cmd_orbit(args, config, consts):
     ])
 
 
-def cmd_mu(args, config, consts):
+def cmd_mu(args, config):
     w = _weights(args, config)
     eps = _resolve(args, config, "eps", REQUIRED, _real)
     n = _resolve(args, config, "n-samples", 10**5, _int)
@@ -287,7 +271,7 @@ def cmd_mu(args, config, consts):
     ])
 
 
-def cmd_nondiv(args, config, consts):
+def cmd_nondiv(args, config):
     w = _weights(args, config)
     lat = _lattice(args, config, w)
     t = _resolve(args, config, "t", 4.0, _real)
@@ -315,11 +299,11 @@ def _survivor_cover(args, config):
     return w, r, covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
 
 
-def cmd_cover(args, config, consts):
+def cmd_cover(args, config):
     w, r, cover = _survivor_cover(args, config)
     tess = covering.tessellation_new(w.m * w.n, r)
     sweep_t = [0.5 * i for i in range(1, 9)]
-    K3 = consts["K3"] if consts["K3"] is not None else covering.calibrate_K3(tess, w, sweep_t)
+    K3 = covering.calibrate_K3(tess, w, sweep_t)
     sweep = [
         {
             "t": tv,
@@ -343,7 +327,7 @@ def cmd_cover(args, config, consts):
     ])
 
 
-def cmd_dim(args, config, consts):
+def cmd_dim(args, config):
     if args.oracle:
         # the oracle's budget check runs before any cover work
         N = _resolve(args, config, "oracle-n", 4, _int)
@@ -369,7 +353,7 @@ def cmd_dim(args, config, consts):
     return res, warns, code, lambda: ("slope,intercept,r2", [f"{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.r2)}"])
 
 
-def cmd_oracle_cf(args, config, consts):
+def cmd_oracle_cf(args, config):
     N = _resolve(args, config, "n-digit", REQUIRED, _int)
     depth = _resolve(args, config, "depth", 12, _int)
     est = covering.cf_digit_oracle(N, depth)
@@ -449,9 +433,8 @@ def main(argv=None):
         threads = require_int("threads", _resolve(args, config, "threads", 1, _int))
         args.seed_val = seed
         args.threads_val = threads
-        consts = _resolve(args, config, "constants", CONSTANT_DEFAULTS, _constants)
         fmt = _resolve(args, config, "format", "json", _format)
-        res, warns, code, csv_table = COMMANDS[args.command](args, config, consts)
+        res, warns, code, csv_table = COMMANDS[args.command](args, config)
     except CuspDimError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.exit_code
@@ -463,12 +446,7 @@ def main(argv=None):
         report = {
             "command": args.command,
             "version": _version(),
-            "config": {
-                "seed": seed,
-                "threads": threads,
-                **{k: v for k, v in config.items() if k != "constants"},
-            },
-            "constants": consts,
+            "config": {"seed": seed, "threads": threads, **config},
             "results": res,
             "warnings": warns,
         }

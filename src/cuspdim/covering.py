@@ -445,19 +445,19 @@ def box_dimension_fit(levels, sizes=None):
 
 
 def _cf_lengths(N, depth):
-    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at depths depth-1 and depth, from one walk."""
-    cur = np.array([1], dtype=np.int64)  # q_0
-    prev = np.array([0], dtype=np.int64)  # q_{-1}
-    digits = np.arange(1, N + 1, dtype=np.int64)
+    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at depths depth-1 and depth, from one walk.
+
+    The denominators are built in float64, where they are exact integers:
+    CF_BUDGET keeps every q_k below 6e8 (N = 2, depth 23), far under 2^53.
+    """
+    cur = np.ones(1)  # q_0
+    prev = np.zeros(1)  # q_{-1}
+    digits = np.arange(1.0, N + 1)
     levels = []
     for k in range(1, depth + 1):
-        new_cur = (digits[:, None] * cur[None, :] + prev[None, :]).reshape(-1)
-        prev = np.tile(cur, N)
-        cur = new_cur
+        cur, prev = (digits[:, None] * cur + prev).reshape(-1), np.tile(cur, N)
         if k >= depth - 1:
-            q = cur.astype(np.float64)
-            qp = prev.astype(np.float64)
-            levels.append(1.0 / (q * (q + qp)))
+            levels.append(1.0 / (cur * (cur + prev)))
     return levels
 
 

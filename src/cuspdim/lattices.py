@@ -116,10 +116,13 @@ def make_lattice(basis):
     if not np.isfinite(basis).all():
         raise ValidationError("basis", "entries must be finite")
     det = float(np.linalg.det(basis))
-    if abs(det) < 1e-12 or np.linalg.matrix_rank(basis) < d:
+    if abs(det) < 1e-12:
         raise ValidationError("basis", "basis matrix is singular")
-    if abs(det - 1.0) > DET_TOL:
+    if not abs(det - 1.0) <= DET_TOL:
         raise ValidationError("basis", f"|det - 1| = {abs(det - 1.0):.3e} exceeds tol {DET_TOL:.1e}")
+    if np.linalg.matrix_rank(basis) < d:  # det 1 but deep in the cusp: float64 enumeration would cancel
+        cap = 1 / (d * np.finfo(float).eps)
+        raise BudgetExceeded(f"basis is too ill-conditioned for float64 enumeration: condition number above 1/(d eps) = {cap:.1e}")
     return Lattice(dim=d, basis=basis)
 
 

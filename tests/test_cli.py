@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report shape, reproducibility, formats."""
 
+import inspect
 import json
 import math
 
@@ -32,7 +33,7 @@ def test_delta_report(capsys):
     assert code == 0
     assert rep["results"]["delta_euclid"] == 1.0
     assert rep["results"]["min_vec_euclid"]["coeffs"] == [1, 0]
-    assert rep["constants"] == {"K3": None}
+    assert "constants" not in rep
 
 
 def test_delta_brute_mode(capsys):
@@ -217,15 +218,34 @@ def test_nondiv_threads_invariant_and_warning(capsys):
 
 
 def test_version_falls_back_to_package_version(monkeypatch):
-    def missing(name):
-        raise cli.metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(cli.metadata, "version", missing)
+    """The report's version is `cuspdim.__version__`, its one source, whether or not git describes the tree."""
     cli._version.cache_clear()
     try:
         assert cli._version().startswith(f"cuspdim {cd.__version__}")
+        monkeypatch.setattr(cli, "__version__", "9.9.9")
+        cli._version.cache_clear()
+        assert cli._version().startswith("cuspdim 9.9.9")
     finally:
         cli._version.cache_clear()
+
+
+def test_ill_conditioned_basis_exit_3(tmp_path, capsys):
+    """A det-1 basis past float64's condition limit exits 3 naming the cap, from `delta` on g_18 Z^2
+    and from a weighted `orbit` that flows a sample that far; a singular basis still exits 1."""
+    cases = [
+        (["delta"], {"basis": [[math.exp(18), 0.0], [0.0, math.exp(-18)]]}),
+        (["orbit", "--t-max", "21", "--dt", "0.5"], {"weights": {"i": [1.0], "j": [0.3, 0.7]}, "A": [[0.41, 0.77]]}),
+    ]
+    for argv, config in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main([*argv, "--config", str(cfg)])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err.startswith("budget exceeded: basis is too ill-conditioned for float64 enumeration: ")
+    cfg.write_text(json.dumps({"basis": [[1.0, 1.0], [1.0, 1.0]]}))
+    assert cli.main(["delta", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: basis: basis matrix is singular\n"
 
 
 def test_nondiv_degenerate_exit_2(capsys):
@@ -329,10 +349,10 @@ def test_reproducibility_byte_identical(tmp_path):
 
 def test_config_file_merge_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"A": 0.5, "c": 0.1, "constants": {"K3": 0.8}}))
+    cfg.write_text(json.dumps({"A": 0.5, "c": 0.1}))
     code, rep = run_json(capsys, "bad", "--config", str(cfg))
     assert code == 0 and rep["results"]["classification"] == "NotBad"
-    assert rep["constants"]["K3"] == 0.8
+    assert rep["config"] == {"seed": 0, "threads": 1, "A": 0.5, "c": 0.1}
     # CLI flag beats the config value
     code, rep = run_json(capsys, "bad", "--config", str(cfg), "--A", "0.6180339887498949", "--c", "0.3")
     assert rep["results"]["classification"] == "Bad"
@@ -389,11 +409,42 @@ def test_non_integral_int_exit_1(tmp_path, capsys, command, field, extra, form):
 
 
 def test_unknown_constant_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"A": 0.5, "c": 0.1, "constants": {"K9": 1.0}}))
-    code = cli.main(["bad", "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert code == 1 and "K9" in err
+    """`constants` is not a config key: K3 comes only from `cover`'s calibration, so a block that
+    sets it, or any other constant, exits 1 naming `constants` instead of being dropped silently."""
+    for block in ({"K3": 0.8}, {"K3": None}, {"K9": 1.0}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"A": 0.5, "c": 0.1, "constants": block}))
+        for command in ("bad", "cover"):
+            code = cli.main([command, "--config", str(cfg)])
+            out = capsys.readouterr()
+            assert code == 1 and out.out == ""
+            assert out.err.startswith("error: constants:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta"],
+        ["bad", "--A", "0.5", "--c", "0.1", "--t-max", "5"],
+        ["orbit", "--A", "0.5", "--t-max", "2"],
+        ["mu", "--eps", "0.1", "--n-samples", "2000"],
+        ["nondiv", "--n-samples", "4000"],
+        ["cover", "--k-max", "2"],
+        ["dim", "--k-max", "3"],
+        ["oracle-cf", "--n-digit", "2", "--depth", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_report_holds_constants(capsys, argv):
+    """No command reads or echoes a constants block; `cover` reports the K3 it calibrated in its results."""
+    assert "constants" not in SCHEMA["properties"] and "constants" not in SCHEMA["required"]
+    assert not hasattr(cli, "CONSTANT_DEFAULTS")
+    assert list(inspect.signature(cli.COMMANDS[argv[0]]).parameters) == ["args", "config"]
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert "constants" not in rep and "constants" not in rep["config"]
+    if argv[0] == "cover":
+        assert 0 < rep["results"]["K3"] < math.inf
 
 
 def test_usage_error_exit_1(capsys):

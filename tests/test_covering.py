@@ -1,6 +1,9 @@
 """Tessellation counts, survivor covers, dimension fits, and the cylinder oracle."""
 
+import ast
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 import cuspdim as cd
 from cuspdim import covering
 from cuspdim.covering import (
+    _cf_lengths,
     _per_axis_count,
     default_safety,
     sup_delta_flow_batch,
@@ -307,3 +311,57 @@ def test_cf_oracle_budget():
     with pytest.raises(cd.ValidationError) as err:
         cd.cf_digit_oracle(3, 3)
     assert err.value.field == "depth"
+
+
+@pytest.mark.parametrize("N, depth", [(3, 7), (2, 12)])
+def test_cf_lengths_match_integer_recurrence(N, depth):
+    """The float64 walk gives the lengths 1/(q_k (q_k + q_{k-1})) of exact Python-int denominators."""
+    pairs = [(1, 0)]  # (q_0, q_{-1})
+    want = []
+    for k in range(1, depth + 1):
+        pairs = [(a * q + qp, q) for a in range(1, N + 1) for q, qp in pairs]
+        if k >= depth - 1:
+            want.append(sorted(1.0 / (float(q) * float(q + qp)) for q, qp in pairs))
+    got = [sorted(level.tolist()) for level in _cf_lengths(N, depth)]
+    assert got == want
+
+
+def test_cf_oracle_memory():
+    """The (4, 10) walk holds float64 denominators only: no int64 copies of the last two levels."""
+    cd.cf_digit_oracle(2, 6)  # scipy's import stays outside the measurement
+    tracemalloc.start()
+    try:
+        cd.cf_digit_oracle(4, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_cf_oracle_shares_no_code_with_the_cover():
+    """The CF-cylinder oracle, and every covering function it calls, never names the survivor cover,
+    its kernel or anything of flows, lattices or haar: `dim --oracle` compares the two sides."""
+    tree = ast.parse(inspect.getsource(covering))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("flows", "lattices", "haar")
+        for alias in node.names
+    }
+    banned = {"survivor_cover", "sup_delta_flow_batch", "_reduce_block", "_delta_at_centers", "flows", "lattices", "haar"}
+    banned |= imported
+    seen, todo = set(), ["cf_digit_oracle"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        names = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {(node.module or "").split(".")[-1]} | {a.asname or a.name for a in node.names}
+        assert not names & banned, (name, sorted(names & banned))
+        todo += [n for n in names if n in defs and n not in seen]
+    assert "_cf_lengths" in seen
+    assert {"T_LIMIT", "cusp_radius", "g_t", "u_A", "delta_weighted", "make_lattice"} <= imported

@@ -291,6 +291,15 @@ def test_direct_constant_shares_no_code_with_the_orbit():
     assert {"_as_matrix", "_q_half_rows", "_weighted_norm"} <= seen
 
 
+def test_deep_flowed_sample_is_a_budget_cap():
+    """At weights (1; 0.5, 0.5) the sample g_23 u_A Z^3 has det 1 but is too ill-conditioned for float64:
+    orbit_profile stops with BudgetExceeded (exit 3), not a "singular" ValidationError."""
+    w = cd.WeightVector((1.0,), (0.5, 0.5))
+    A = np.array([[SQRT2_M1, math.sqrt(3.0) - 1.0]])
+    with pytest.raises(cd.BudgetExceeded, match="^basis is too ill-conditioned for float64 enumeration: "):
+        cd.orbit_profile(A, w, 23.0, 23.0)
+
+
 def test_direct_constant_monotone_in_q_bound():
     for A in (PHI_M1, 0.414, 0.77, 0.123):
         vals = [

@@ -119,6 +119,18 @@ def test_make_lattice_validation():
     cd.make_lattice(np.diag([1.0 + 5e-10, 1.0]))
 
 
+def test_ill_conditioned_basis_is_a_budget_cap():
+    """A det-1 basis deep in the cusp is valid input that float64 enumeration cannot take: it exits 3
+    naming the cap, not 1 as "singular".  The rank test stays, because past it the enumeration
+    cancels: on g_20 u_0.41 Z^2 it returned 2.26e-6 where exact residues give 1.19e-6."""
+    deep = np.diag([math.exp(18), math.exp(-18)])
+    assert abs(delta2_batch(deep[None], "sup")[0] - 1.523e-8) <= 1e-11
+    flowed = cd.g_t(cd.EQUAL_WEIGHTS_2D, 20.0) @ cd.u_A(np.array([[0.41]]))
+    for basis in (deep, flowed):
+        with pytest.raises(cd.BudgetExceeded, match="^basis is too ill-conditioned for float64 enumeration: "):
+            cd.make_lattice(basis)
+
+
 def test_oracle_equivalence_100_bases():
     """shortest_vector length == exhaustive |c| <= 50 search, 2x2 and 3x3.
 

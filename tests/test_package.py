@@ -85,6 +85,14 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_importlib_metadata():
+    """The report's version comes from `cuspdim.__version__` alone, so importing the CLI skips importlib.metadata."""
+    code = "import sys, cuspdim.cli; print('importlib.metadata' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_no_unread_module_names():
     """Every module-level constant and private function of src is read somewhere in src:
     as a loaded name, an attribute name or an __all__ entry.  Dunder names are skipped."""
