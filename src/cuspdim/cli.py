@@ -45,14 +45,16 @@ def _version():
 
 
 def _round12(obj):
-    """12 significant digits on every float in the structure."""
+    """12 significant digits on every float in the structure; numpy scalars become Python numbers."""
+    if isinstance(obj, float):  # first: floats are most of a report (np.float64 is one too)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, np.floating):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -250,7 +252,7 @@ def cmd_orbit(args, config):
         "argmin_t": profile.argmin_t,
         "continuity_margin": profile.continuity_margin,
         "n_samples": len(profile.ts),
-        "samples": [[float(t), float(d)] for t, d in zip(profile.ts, profile.deltas)],
+        "samples": np.column_stack((profile.ts, profile.deltas)).tolist(),
     }
     return res, [], 0, lambda: ("t,delta_w", [
         f"{_fmt(float(t))},{_fmt(float(d))}" for t, d in zip(profile.ts, profile.deltas)
@@ -422,10 +424,14 @@ def _build_parser():
     return p
 
 
+# built once per process: parse_args leaves no state in it from one call to the next
+_PARSER = _build_parser()
+
+
 def main(argv=None):
     t0 = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         config = _load_config(args.config)
         seed = _resolve(args, config, "seed", 0, _int)
         if not 0 <= seed < 2**64:
@@ -453,7 +459,8 @@ def main(argv=None):
         if not args.no_timestamp:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
             report["wall_time_s"] = time.monotonic() - t0
-        text = json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"
+        # one line: json's C encoder runs only without indent (pipe through `python -m json.tool` to read)
+        text = json.dumps(_round12(report), sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -461,6 +461,11 @@ def _cf_lengths(N, depth):
     return levels
 
 
+def _log_length_ratio(s, l_cur, l_prev):
+    """log sum l_cur^s - log sum l_prev^s: zero at the oracle's exponent s."""
+    return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
+
+
 def cf_digit_oracle(N, depth):
     """Box-dimension estimate of E_N = {all partial quotients <= N}.
 
@@ -478,9 +483,9 @@ def cf_digit_oracle(N, depth):
         return 0.0  # single cylinder per depth: the one-point golden tail
     l_prev, l_cur = _cf_lengths(N, depth)
 
-    def f(s):
-        return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
-
     from scipy.optimize import brentq  # imported here: scipy is most of the package's import time
 
-    return float(brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16))
+    # the lengths go in through `args`, not a closure: brentq wraps its callback in a
+    # self-referencing closure, a cycle that would keep a closure's arrays alive until
+    # the next full collection
+    return float(brentq(_log_length_ratio, 0.0, 1.0, args=(l_cur, l_prev), xtol=1e-12, rtol=8.9e-16))
