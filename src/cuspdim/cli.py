@@ -3,7 +3,7 @@
 The CLI only decodes flags and config into typed values (`_resolve`);
 the library function that consumes a value checks it, and each error
 class carries its exit code (`cuspdim.errors`).  Reports echo the
-resolved config; a constant such as `cover`'s K3 is calibrated in the
+values the run read from flags and the config; a constant such as `cover`'s K3 is calibrated in the
 run and reported with its results, never read from the config.  With
 --no-timestamp two runs of the same config produce byte-identical
 output.
@@ -77,8 +77,9 @@ def _load_config(path):
         raise ValidationError("config", f"invalid JSON: {e}")
     if not isinstance(obj, dict):
         raise ValidationError("config", "top level must be a JSON object")
-    if "constants" in obj:
-        raise ValidationError("constants", "not a config key: `cover` calibrates K3 from the exact counts and reports it in its results")
+    unknown = sorted(set(obj) - CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(unknown[0], "not a config key: no subcommand reads it")
     return obj
 
 
@@ -87,18 +88,24 @@ REQUIRED = object()  # the default of a value that has none
 
 def _resolve(args, config, name, default, cast):
     """CLI flag > config file > default; `cast` decodes a flag or config value, and
-    its TypeError, ValueError or KeyError becomes a ValidationError naming the field."""
-    raw = getattr(args, name.replace("-", "_"), None)
-    if raw is None:
-        raw = config.get(name)
+    its TypeError, ValueError or KeyError becomes a ValidationError naming the field.
+
+    A value read from a flag or the config goes to the report's config echo,
+    `args.echo`: a config value as written, a flag's string as decoded.
+    """
+    flag = getattr(args, name.replace("-", "_"), None)
+    raw = config.get(name) if flag is None else flag
     if raw is None:
         if default is REQUIRED:
             raise ValidationError(name, "required")
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError, KeyError):
         raise ValidationError(name, f"cannot interpret {raw!r}")
+    # as plain JSON values: a flag's A decodes to an array
+    args.echo[name] = raw if flag is None else np.asarray(value).tolist()
+    return value
 
 
 def _int(raw):
@@ -388,6 +395,30 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("usage", message)
 
 
+# the flags that take a value, besides the common ones, and the subcommands that have them
+VALUE_FLAGS = [
+    ("--A", ["bad", "orbit"]),
+    ("--c", ["bad", "cover", "dim"]),
+    ("--t-max", ["bad", "orbit"]),
+    ("--dt", ["bad", "orbit"]),
+    ("--q-bound", ["bad"]),
+    ("--eps", ["mu"]),
+    ("--n-samples", ["mu", "nondiv"]),
+    ("--t", ["nondiv", "cover", "dim"]),
+    ("--eps-grid", ["nondiv"]),
+    ("--r", ["cover", "dim"]),
+    ("--k-max", ["cover", "dim"]),
+    ("--budget", ["cover", "dim"]),
+    ("--n-digit", ["oracle-cf"]),
+    ("--depth", ["oracle-cf"]),
+    ("--oracle-n", ["dim"]),
+    ("--oracle-depth", ["dim"]),
+]
+# every flag that takes a value, but --config and --out, named without its dashes,
+# and the blocks that only a config gives; `_load_config` refuses any other key
+CONFIG_KEYS = frozenset(["seed", "threads", "format", *(flag[2:] for flag, _ in VALUE_FLAGS), "basis", "weights", "synthetic"])
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
@@ -399,24 +430,7 @@ def _build_parser():
     p = _Parser(prog="cuspdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     sp = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
-    for flag, names in [
-        ("--A", ["bad", "orbit"]),
-        ("--c", ["bad", "cover", "dim"]),
-        ("--t-max", ["bad", "orbit"]),
-        ("--dt", ["bad", "orbit"]),
-        ("--q-bound", ["bad"]),
-        ("--eps", ["mu"]),
-        ("--n-samples", ["mu", "nondiv"]),
-        ("--t", ["nondiv", "cover", "dim"]),
-        ("--eps-grid", ["nondiv"]),
-        ("--r", ["cover", "dim"]),
-        ("--k-max", ["cover", "dim"]),
-        ("--budget", ["cover", "dim"]),
-        ("--n-digit", ["oracle-cf"]),
-        ("--depth", ["oracle-cf"]),
-        ("--oracle-n", ["dim"]),
-        ("--oracle-depth", ["dim"]),
-    ]:
+    for flag, names in VALUE_FLAGS:
         for name in names:
             sp[name].add_argument(flag, default=None)
     sp["delta"].add_argument("--brute", action="store_true")
@@ -432,6 +446,7 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         args = _PARSER.parse_args(argv)
+        args.echo = {}
         config = _load_config(args.config)
         seed = _resolve(args, config, "seed", 0, _int)
         if not 0 <= seed < 2**64:
@@ -452,7 +467,7 @@ def main(argv=None):
         report = {
             "command": args.command,
             "version": _version(),
-            "config": {"seed": seed, "threads": threads, **config},
+            "config": {**args.echo, "seed": seed, "threads": threads},
             "results": res,
             "warnings": warns,
         }

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report shape, reproducibility, formats."""
 
+import gc
 import inspect
 import json
 import math
@@ -24,6 +25,8 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--no-timestamp")
     report = json.loads(out)
+    # one line of JSON with sorted keys, as json.dumps writes it without indent
+    assert out == json.dumps(report, sort_keys=True) + "\n"
     jsonschema.validate(report, SCHEMA)
     return code, report
 
@@ -356,6 +359,30 @@ def test_config_file_merge_and_flag_precedence(tmp_path, capsys):
     # CLI flag beats the config value
     code, rep = run_json(capsys, "bad", "--config", str(cfg), "--A", "0.6180339887498949", "--c", "0.3")
     assert rep["results"]["classification"] == "Bad"
+    assert rep["config"] == {"seed": 0, "threads": 1, "A": 0.61803398875, "c": 0.3}  # 12 digits, as every float
+    # the echo holds the values the run used, from a flag or the config, not the config file
+    cfg.write_text(json.dumps({"seed": 3, "depth": 6}))
+    code, rep = run_json(capsys, "oracle-cf", "--n-digit", "2", "--depth", "5", "--seed", "7", "--config", str(cfg))
+    assert code == 0 and rep["results"]["depth"] == 5
+    assert rep["config"] == {"depth": 5, "n-digit": 2, "seed": 7, "threads": 1}
+    _, direct = run_json(capsys, "oracle-cf", "--n-digit", "2", "--depth", "5")
+    assert rep["results"] == direct["results"]
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys, monkeypatch):
+    """A key that no subcommand reads exits 1 naming it before any work, rather than being ignored."""
+    monkeypatch.setattr(cli.flows, "orbit_profile", _refuse)
+    cfg = tmp_path / "cfg.json"
+    for config, field in [({"t_max": 2, "A": 0.41}, "t_max"), ({"A": 0.41, "out": "x.json"}, "out"), ({"k": 1, "j": 2}, "j")]:
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["orbit", "--config", str(cfg)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err.startswith(f"error: {field}: not a config key")
+    # a key that another subcommand reads is allowed, and left out of the echo
+    cfg.write_text(json.dumps({"n-digit": 2, "depth": 5, "k-max": 3, "weights": {"i": [1], "j": [1]}}))
+    code, rep = run_json(capsys, "oracle-cf", "--config", str(cfg))
+    assert code == 0 and rep["config"] == {"depth": 5, "n-digit": 2, "seed": 0, "threads": 1}
 
 
 @pytest.mark.parametrize(
@@ -543,3 +570,64 @@ def test_results_keys_pinned(capsys, argv, keys):
     code, rep = run_json(capsys, *argv)
     assert code == 0
     assert set(rep["results"]) == keys
+
+
+def test_parser_shared_by_successive_calls(capsys):
+    """One parser serves every call in a process: no flag or usage error carries over to the next call."""
+    _, rep = run_json(capsys, "delta", "--brute")
+    assert "brute" in rep["results"]
+    _, rep = run_json(capsys, "delta")
+    assert "brute" not in rep["results"] and "brute_agrees" not in rep["results"]
+    assert cli.main(["cover", "--kmax", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: usage:")
+    code, rep = run_json(capsys, "oracle-cf", "--n-digit", "2", "--depth", "5")
+    assert code == 0 and rep["config"] == {"depth": 5, "n-digit": 2, "seed": 0, "threads": 1}
+
+
+def test_round12_values():
+    """12 significant digits on floats of any width; numpy integers become ints; the rest passes through."""
+    got = cli._round12({"a": (0.1234567890123456, np.float64(2.0 / 3.0), (np.float32(0.1), np.int64(7))), "b": [True, None, -0.0]})
+    assert got == {"a": [0.123456789012, 0.666666666667, [0.10000000149, 7]], "b": [True, None, -0.0]}
+    assert type(got["a"][1]) is float and type(got["a"][2][0]) is float and type(got["a"][2][1]) is int
+    assert got["b"][0] is True and math.copysign(1.0, got["b"][2]) == -1.0
+    assert json.dumps(got, sort_keys=True) == '{"a": [0.123456789012, 0.666666666667, [0.10000000149, 7]], "b": [true, null, -0.0]}'
+
+
+_W3 = cd.WeightVector((1.0,), (0.3, 0.7))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cli.main(["delta", "--no-timestamp"]),
+        lambda: cli.main(["bad", "--A", "0.5", "--c", "0.1", "--t-max", "5", "--no-timestamp"]),
+        lambda: cli.main(["orbit", "--A", "0.5", "--t-max", "2", "--no-timestamp"]),
+        lambda: cli.main(["mu", "--eps", "0.1", "--n-samples", "2000", "--no-timestamp"]),
+        lambda: cli.main(["nondiv", "--n-samples", "4000", "--no-timestamp"]),
+        lambda: cli.main(["cover", "--k-max", "2", "--no-timestamp"]),
+        lambda: cli.main(["dim", "--k-max", "3", "--oracle", "--oracle-n", "2", "--oracle-depth", "8", "--no-timestamp"]),
+        lambda: cli.main(["oracle-cf", "--n-digit", "2", "--depth", "8", "--no-timestamp"]),
+        lambda: cd.orbit_profile(np.array([[0.41, 0.77]]), _W3, 2.0, 0.25),
+        lambda: cd.core_inclusion_check(0.3, 0.1, cd.EQUAL_WEIGHTS_2D, 200, 5, seed=0),
+    ],
+    ids=["delta", "bad", "orbit", "mu", "nondiv", "cover", "dim-oracle", "oracle-cf", "orbit_profile", "core_inclusion_check"],
+)
+def test_no_cyclic_garbage_holds_an_array(capsys, call):
+    """A run leaves no reference cycle that holds an array, so its arrays are freed when it returns,
+    not at the next full collection.  ndarrays are not tracked by gc, so the check looks at what the
+    unreachable objects refer to (closure cells, dicts, frames)."""
+    call()  # imports and caches first
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        holders = [repr(obj)[:80] for obj in gc.garbage if any(isinstance(r, np.ndarray) for r in gc.get_referents(obj))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert holders == []
