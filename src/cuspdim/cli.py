@@ -3,10 +3,10 @@
 The CLI only decodes flags and config into typed values (`_resolve`);
 the library function that consumes a value checks it, and each error
 class carries its exit code (`cuspdim.errors`).  Reports echo the
-values the run read from flags and the config; a constant such as `cover`'s K3 is calibrated in the
-run and reported with its results, never read from the config.  With
---no-timestamp two runs of the same config produce byte-identical
-output.
+values the run read from flags and the config; a constant such as
+`cover`'s K3 is calibrated in the run and reported with its results,
+never read from the config.  With --no-timestamp two runs of the same
+config produce byte-identical output.
 """
 
 import argparse
