@@ -12,10 +12,8 @@ config produce byte-identical output.
 import argparse
 import dataclasses
 import datetime
-import functools
 import json
 import math
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -24,24 +22,6 @@ import numpy as np
 
 from . import __version__, covering, flows, haar, lattices
 from .errors import BudgetExceeded, CuspDimError, ValidationError, require_int
-
-
-@functools.cache
-def _version():
-    """Package version and `git describe`, computed once per process."""
-    try:
-        desc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).parent,
-            timeout=5,
-        )
-        if desc.returncode == 0:
-            return f"cuspdim {__version__} ({desc.stdout.strip()})"
-    except Exception:
-        pass
-    return f"cuspdim {__version__}"
 
 
 def _round12(obj):
@@ -128,18 +108,9 @@ def _weights(args, config):
     return _resolve(args, config, "weights", lattices.EQUAL_WEIGHTS_2D, lambda w: lattices.WeightVector(tuple(w["i"]), tuple(w["j"])))
 
 
-def _basis(raw):
-    """A nested square matrix or a flat row-major list."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        side = int(round(math.sqrt(arr.size)))
-        arr = arr.reshape(side, side)
-    return lattices.make_lattice(arr)
-
-
 def _lattice(args, config, w):
-    """The config's basis, or Z^d for the weights' d."""
-    lat = _resolve(args, config, "basis", None, _basis)
+    """The config's basis, a nested square matrix, or Z^d for the weights' d."""
+    lat = _resolve(args, config, "basis", None, lattices.make_lattice)
     return lattices.make_lattice(np.eye(w.d)) if lat is None else lat
 
 
@@ -304,8 +275,7 @@ def _survivor_cover(args, config):
     r = _resolve(args, config, "r", 0.5, _real)
     t = _resolve(args, config, "t", 1.5, _real)
     k_max = _resolve(args, config, "k-max", 6, _int)
-    budget = _resolve(args, config, "budget", covering.BOX_BUDGET, _int)
-    return w, r, covering.survivor_cover(lat, w, c, r, t, k_max, budget=budget)
+    return w, r, covering.survivor_cover(lat, w, c, r, t, k_max)
 
 
 def cmd_cover(args, config):
@@ -408,7 +378,6 @@ VALUE_FLAGS = [
     ("--eps-grid", ["nondiv"]),
     ("--r", ["cover", "dim"]),
     ("--k-max", ["cover", "dim"]),
-    ("--budget", ["cover", "dim"]),
     ("--n-digit", ["oracle-cf"]),
     ("--depth", ["oracle-cf"]),
     ("--oracle-n", ["dim"]),
@@ -466,7 +435,7 @@ def main(argv=None):
     else:
         report = {
             "command": args.command,
-            "version": _version(),
+            "version": f"cuspdim {__version__}",
             "config": {**args.echo, "seed": seed, "threads": threads},
             "results": res,
             "warnings": warns,

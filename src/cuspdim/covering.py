@@ -96,6 +96,12 @@ def _volume_rate(w, t):
     return total
 
 
+def _require_tess_dim(tess, w):
+    """ValidationError("dim") unless the tessellation tiles the weights' space: L = m n."""
+    if tess.L != w.m * w.n:
+        raise ValidationError("dim", f"tessellation L={tess.L} != m*n={w.m * w.n}")
+
+
 def _per_axis_count(E):
     """Translates of a length-1/E interval meeting (0, 1), open boxes.
 
@@ -111,9 +117,8 @@ def _per_axis_count(E):
 
 def count_S_rt(tess, w, t):
     """Exact count of gamma in Lambda_r with g_{-t} V_r gamma g_t meeting V_r."""
+    _require_tess_dim(tess, w)
     lams = _flow_rates(w, t)
-    if tess.L != w.m * w.n:
-        raise ValidationError("dim", f"tessellation L={tess.L} != m*n={w.m * w.n}")
     total = 1
     for lam in lams:
         total *= _per_axis_count(math.exp(lam * t))
@@ -129,6 +134,7 @@ def count_S_rt_brute(tess, w, t):
     BudgetExceeded before any walk when one axis has more than
     CELL_BUDGET translates.
     """
+    _require_tess_dim(tess, w)
     lams = _flow_rates(w, t)
     Gs = [int(math.ceil(math.exp(lam * t))) + 2 for lam in lams]
     if 2 * max(Gs) + 1 > CELL_BUDGET:
@@ -151,6 +157,7 @@ def lemma61_bound(tess, w, t, K3):
     """Volume-ratio bound e^{(sum lambda) t} (1 + K3 e^{-lambda0 t} / vol(V_r)), lambda0 = min lambda."""
     if not 0 < K3 < math.inf:
         raise ValidationError("K3", "must be positive and finite")
+    _require_tess_dim(tess, w)
     total = _volume_rate(w, t)
     lam0 = float(np.min(_lambdas(w)))
     vol = tess.side**tess.L
@@ -162,6 +169,7 @@ def calibrate_K3(tess, w, t_grid):
 
     Measured once as the max observed excess; any larger K3 also works.
     """
+    _require_tess_dim(tess, w)
     lam0 = float(np.min(_lambdas(w)))
     vol = tess.side**tess.L
     need = 1e-12
@@ -304,7 +312,7 @@ def _delta_at_centers(centers, T, x0, w, coeffs):
     return out
 
 
-def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
+def survivor_cover(x0, w, c, r, t, k_max):
     """Recursive Bowen-box cover of the h whose orbit avoids U(c^(1/d)).
 
     Level 0 is the single cube V_r = (0, side)^L.  Level k+1 refines
@@ -319,14 +327,13 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     low corner, the last translate per axis snapped inward, so level
     k+1 boxes stay inside the closure of their parent while covering
     it (a check that raises InvariantViolation otherwise).  Hitting the
-    total box budget truncates the run gracefully.
+    total box budget BOX_BUDGET truncates the run gracefully.
     """
     eps = cusp_radius(c, w.d)
     if not 0 < r <= R_CAP:
         raise ValidationError("r", f"must be in (0, {R_CAP}]")
     lams = _flow_rates(w, t, positive=True)
     k_max = require_int("k-max", k_max)
-    budget = require_int("budget", budget)
     if x0.dim != w.d:
         raise ValidationError("dim", f"x0 dim {x0.dim} != weight dimension {w.d}")
     L = w.m * w.n
@@ -350,7 +357,7 @@ def survivor_cover(x0, w, c, r, t, k_max, budget=BOX_BUDGET):
     for k in range(1, k_max + 1):
         child_sides = side * np.exp(-lams * k * t)
         parent_sides = side * np.exp(-lams * (k - 1) * t)
-        if total + len(lows) * n_children > budget:
+        if total + len(lows) * n_children > BOX_BUDGET:
             truncated = True
             break
         offsets = []
@@ -440,7 +447,7 @@ def box_dimension_fit(levels, sizes=None):
         log_counts=Y.tolist(),
         slope=float(slope),
         intercept=float(intercept),
-        r2=min(1.0, r2),
+        r2=r2,
     )
 
 

@@ -5,7 +5,7 @@ stderr label: ValidationError, 1 "error" (invalid input, the message
 names the field); InvariantViolation, 1 "error" (a package defect);
 DegenerateFit, 2 "degenerate" (inconclusive fits); BudgetExceeded, 3
 "budget exceeded" (a work cap was hit, the message names the cap).
-Every count (q-bound, L, k-max, budget, N, depth, n-samples, n-perturb,
+Every count (q-bound, L, k-max, N, depth, n-samples, n-perturb,
 the counts of a dimension fit and the CLI's threads) goes through
 `require_int` in the function that consumes it, so 0, 2.5, nan and inf
 are refused alike and nothing is truncated.  Real-valued ranges are written as negated comparisons

@@ -38,6 +38,7 @@ Y_MIN = math.sqrt(3.0) / 2.0
 C11 = 2.0  # perturbations g keep max(||g - I||, ||g^-1 - I||) <= C11 r
 MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
+PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
 
@@ -231,18 +232,17 @@ def sampler_calibration(n_samples, seed, threads=1):
         x, y, theta, proposed = sample_batch(rng, count)
         tail = [int(np.count_nonzero(y >= cut)) for cut in Y_CUTS]
         dmax = float(np.max(delta2_batch(_bases(x, y, theta), "euclid")))
-        return tail, proposed, count, dmax
+        return tail, proposed, dmax
 
     out = rngmod.chunked_map(work, n_samples, seed, stream_id=2, threads=threads)
     tails = np.sum([o[0] for o in out], axis=0)
     proposed = sum(o[1] for o in out)
-    accepted = sum(o[2] for o in out)
     return {
         "y_cuts": list(Y_CUTS),
         "tail_fractions": (tails / n_samples).tolist(),
         "tail_analytic": [3.0 / (c * math.pi) for c in Y_CUTS],
-        "acceptance_rate": accepted / proposed,
-        "max_delta_euclid": max(o[3] for o in out),
+        "acceptance_rate": n_samples / proposed,
+        "max_delta_euclid": max(o[2] for o in out),
         "n_samples": n_samples,
     }
 
@@ -379,7 +379,8 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     informational.  The g are the first accepted candidates of one
     stream, in order; renorm_rejects counts the candidates rejected
     before the last one used, and PERTURB_TRIES rejections in a row
-    raise BudgetExceeded.
+    raise BudgetExceeded.  More than PAIR_BUDGET pairs raise
+    BudgetExceeded before anything is drawn.
     """
     _require_d2(w)
     if not 0 < eps < math.inf:
@@ -388,6 +389,8 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
         raise ValidationError("r", "must be nonnegative and finite")
     n_samples = require_int("n-samples", n_samples)
     n_perturb = require_int("n-perturb", n_perturb)
+    if n_samples * n_perturb > PAIR_BUDGET:
+        raise BudgetExceeded(f"{n_samples * n_perturb} sample-perturbation pairs, budget is {PAIR_BUDGET}")
     adm = admissible_radius(eps, w)
     rng = rngmod.stream(seed, stream_id=4)
     half = eps / 2.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cuspdim as cd
-from cuspdim import cli
+from cuspdim import cli, covering
 
 with open("docs/report.schema.json") as f:
     SCHEMA = json.load(f)
@@ -220,16 +220,12 @@ def test_nondiv_threads_invariant_and_warning(capsys):
     assert code == 0 and len(deep["warnings"]) == 1
 
 
-def test_version_falls_back_to_package_version(monkeypatch):
-    """The report's version is `cuspdim.__version__`, its one source, whether or not git describes the tree."""
-    cli._version.cache_clear()
-    try:
-        assert cli._version().startswith(f"cuspdim {cd.__version__}")
-        monkeypatch.setattr(cli, "__version__", "9.9.9")
-        cli._version.cache_clear()
-        assert cli._version().startswith("cuspdim 9.9.9")
-    finally:
-        cli._version.cache_clear()
+def test_version_falls_back_to_package_version(capsys, monkeypatch):
+    """The report's version is `cuspdim.__version__`, its one source: the tree it runs from plays no part."""
+    argv = ("oracle-cf", "--n-digit", "2", "--depth", "5")
+    assert run_json(capsys, *argv)[1]["version"] == f"cuspdim {cd.__version__}"
+    monkeypatch.setattr(cli, "__version__", "9.9.9")
+    assert run_json(capsys, *argv)[1]["version"] == "cuspdim 9.9.9"
 
 
 def test_ill_conditioned_basis_exit_3(tmp_path, capsys):
@@ -276,8 +272,9 @@ def test_cover_csv(capsys):
     assert lines[1].startswith("0,")
 
 
-def test_cover_budget_exit_3(capsys):
-    code, rep = run_json(capsys, "cover", "--t", "2", "--k-max", "8", "--budget", "50000")
+def test_cover_budget_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(covering, "BOX_BUDGET", 50000)
+    code, rep = run_json(capsys, "cover", "--t", "2", "--k-max", "8")
     assert code == 3
     assert rep["results"]["truncated"] is True
 
@@ -397,6 +394,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, monkeypatch):
         ("dim", {"synthetic": {"counts": [2, 4, 8], "sizes": [0.5, 0.0, 0.125]}}, "sizes"),
         ("dim", {"synthetic": {"counts": [2, 4, 8], "sizes": [0.5, -0.25, 0.125]}}, "sizes"),
         ("delta", {"constants": [1]}, "constants"),
+        ("delta", {"basis": [1, 0, 0, 1]}, "basis"),
     ],
 )
 def test_malformed_config_exit_1(tmp_path, capsys, command, config, field):
@@ -409,20 +407,28 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, config, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("form", ["flag", "config"])
+NON_INTEGRAL_CASES = [
+    ("bad", "q-bound", ["--A", "0.5", "--c", "0.1"]),
+    ("mu", "n-samples", ["--eps", "0.1"]),
+    ("cover", "k-max", []),
+    ("cover", "budget", []),  # config form only: no subcommand reads the key, so it is refused by name
+    ("oracle-cf", "n-digit", []),
+    ("oracle-cf", "depth", ["--n-digit", "2"]),
+    ("dim", "oracle-n", ["--oracle"]),
+    ("dim", "oracle-depth", ["--oracle"]),
+    ("oracle-cf", "seed", ["--n-digit", "2"]),
+    ("oracle-cf", "threads", ["--n-digit", "2"]),
+]
+
+
 @pytest.mark.parametrize(
-    "command, field, extra",
+    "command, field, extra, form",
+    # every case in both forms but one, under the ids that stacked parametrize decorators would give
     [
-        ("bad", "q-bound", ["--A", "0.5", "--c", "0.1"]),
-        ("mu", "n-samples", ["--eps", "0.1"]),
-        ("cover", "k-max", []),
-        ("cover", "budget", []),
-        ("oracle-cf", "n-digit", []),
-        ("oracle-cf", "depth", ["--n-digit", "2"]),
-        ("dim", "oracle-n", ["--oracle"]),
-        ("dim", "oracle-depth", ["--oracle"]),
-        ("oracle-cf", "seed", ["--n-digit", "2"]),
-        ("oracle-cf", "threads", ["--n-digit", "2"]),
+        pytest.param(command, field, extra, form, id=f"{command}-{field}-extra{i}-{form}")
+        for form in ("flag", "config")
+        for i, (command, field, extra) in enumerate(NON_INTEGRAL_CASES)
+        if not (field == "budget" and form == "flag")
     ],
 )
 def test_non_integral_int_exit_1(tmp_path, capsys, command, field, extra, form):

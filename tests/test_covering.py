@@ -220,9 +220,10 @@ def test_conservative_soundness(cover_c025):
             assert np.any(dist <= lv.half_sides[0] + 1e-12), (h, lv.k)
 
 
-def test_budget_truncation():
+def test_budget_truncation(monkeypatch):
     x0 = cd.make_lattice(np.eye(2))
-    cov = cd.survivor_cover(x0, W2, 0.25, 0.5, 2.0, 8, budget=50000)
+    monkeypatch.setattr(covering, "BOX_BUDGET", 50000)
+    cov = cd.survivor_cover(x0, W2, 0.25, 0.5, 2.0, 8)
     assert cov.truncated
     assert [lv.count for lv in cov] == [1, 27, 1092]
     assert cov.total_boxes <= 50000
@@ -230,18 +231,16 @@ def test_budget_truncation():
 
 def test_survivor_validation():
     x0 = cd.make_lattice(np.eye(2))
-    for args, budget, field in [
-        ((1.5, 0.5, 2.0, 2), 100, "c"),
-        ((0.25, 5.0, 2.0, 2), 100, "r"),  # r above the cap
-        ((0.25, -0.5, 2.0, 2), 100, "r"),
-        ((0.25, 0.5, -1.0, 2), 100, "t"),
-        ((0.25, 0.5, math.nan, 2), 100, "t"),
-        ((0.25, 0.5, 2.0, 0), 100, "k-max"),
-        ((0.25, 0.5, 2.0, 2), 0, "budget"),
-        ((0.25, 0.5, 2.0, 2), 2.5, "budget"),
+    for args, field in [
+        ((1.5, 0.5, 2.0, 2), "c"),
+        ((0.25, 5.0, 2.0, 2), "r"),  # r above the cap
+        ((0.25, -0.5, 2.0, 2), "r"),
+        ((0.25, 0.5, -1.0, 2), "t"),
+        ((0.25, 0.5, math.nan, 2), "t"),
+        ((0.25, 0.5, 2.0, 0), "k-max"),
     ]:
         with pytest.raises(cd.ValidationError) as err:
-            cd.survivor_cover(x0, W2, *args, budget=budget)
+            cd.survivor_cover(x0, W2, *args)
         assert err.value.field == field
 
 

@@ -19,7 +19,6 @@ COUNT_CALLS = {
     "q-bound": lambda n: flows.direct_bad_constant(0.5, W2, n),
     "L": lambda n: covering.tessellation_new(n, 0.5),
     "k-max": lambda n: covering.survivor_cover(Z2, W2, 0.25, 0.5, 1.0, n),
-    "budget": lambda n: covering.survivor_cover(Z2, W2, 0.25, 0.5, 1.0, 2, budget=n),
     "N": lambda n: covering.cf_digit_oracle(n, 5),
     "depth": lambda n: covering.cf_digit_oracle(2, n),
     "n-samples/estimate_mu_U": lambda n: haar.estimate_mu_U(0.1, W2, n, seed=0),
@@ -124,6 +123,34 @@ def test_volume_ratio_time_capped(call):
     with pytest.raises(cd.ValidationError, match=r"^t: must be nonnegative with .* finite: need t <= 236\.594$"):
         call(300.0)
     assert covering.count_S_rt(TESS2, W3, 300.0) > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda tess: covering.count_S_rt(tess, W2, 1.0), id="count_S_rt"),
+        pytest.param(lambda tess: covering.count_S_rt_brute(tess, W2, 1.0), id="count_S_rt_brute"),
+        pytest.param(lambda tess: covering.lemma61_bound(tess, W2, 1.0, 1.0), id="lemma61_bound"),
+        pytest.param(lambda tess: covering.calibrate_K3(tess, W2, [0.5, 1.0]), id="calibrate_K3"),
+    ],
+)
+def test_tessellation_dimension_checked(call):
+    """Each consumer of a tessellation refuses one whose L is not the weights' m n (an L = 2 tiling at weights (1; 1))."""
+    with pytest.raises(cd.ValidationError, match=r"^dim: tessellation L=2 != m\*n=1$"):
+        call(TESS2)
+    call(TESS)
+
+
+def test_inclusion_pairs_capped_before_sampling(monkeypatch):
+    """More than PAIR_BUDGET sample-perturbation pairs exit 3 naming the cap before any sample is drawn."""
+
+    def no_draw(*args):
+        raise AssertionError("sampled before the pair cap was checked")
+
+    monkeypatch.setattr(haar, "PAIR_BUDGET", 39)
+    monkeypatch.setattr(haar, "sample_batch", no_draw)
+    with pytest.raises(cd.BudgetExceeded, match="^40 sample-perturbation pairs, budget is 39$"):
+        haar.core_inclusion_check(0.3, 0.05, W2, 20, 2, seed=0)
 
 
 def test_brute_count_budget_checked_first():

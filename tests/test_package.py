@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cuspdim as cd
-from cuspdim import covering, errors, haar
+from cuspdim import cli, covering, errors, haar
 
 SRC = Path(cd.__file__).parent
 
@@ -55,6 +55,7 @@ def test_removed_names_stay_gone():
         (cd.admissible_radius, "C11"),
         (cd.core_inclusion_check, "C11"),
         (cd.make_lattice, "tol"),
+        (cd.survivor_cover, "budget"),
     ]:
         assert param not in inspect.signature(fn).parameters, (fn.__name__, param)
     for fn, param in [
@@ -64,6 +65,7 @@ def test_removed_names_stay_gone():
     ]:
         assert inspect.signature(fn).parameters[param].default is inspect.Parameter.empty, (fn.__name__, param)
     assert not hasattr(cd.WeightVector, "equal")
+    assert not hasattr(cli, "_version")
     with pytest.raises(cd.ValidationError, match="^basis: ") as err:
         cd.make_lattice(np.diag([2.0, 1.0]))
     assert not hasattr(err.value, "det")
@@ -83,6 +85,14 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_subprocess():
+    """The report's version is `cuspdim.__version__`, not `git describe`: importing the CLI loads no subprocess."""
+    code = "import sys, cuspdim.cli; print('subprocess' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_import_loads_no_importlib_metadata():
