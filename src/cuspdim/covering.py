@@ -468,9 +468,51 @@ def _cf_lengths(N, depth):
     return levels
 
 
-def _log_length_ratio(s, l_cur, l_prev):
-    """log sum l_cur^s - log sum l_prev^s: zero at the oracle's exponent s."""
-    return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
+def _brent_root(f):
+    """Root of f on [0, 1]: the Brent (zeroin) iteration of scipy's brentq.c, step for step.
+
+    Same tolerances as `brentq(f, 0, 1, xtol=1e-12, rtol=8.9e-16)` and its
+    100-iteration cap, so it returns the same float.  A bracket without a
+    sign change, or no convergence, raises InvariantViolation.
+    """
+    xtol, rtol = 1e-12, 8.9e-16
+    xpre, xcur = 0.0, 1.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise InvariantViolation(f"no sign change on [0, 1]: f(0) = {fpre!r}, f(1) = {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise InvariantViolation("Brent root on [0, 1] did not converge in 100 iterations")
 
 
 def cf_digit_oracle(N, depth):
@@ -490,9 +532,7 @@ def cf_digit_oracle(N, depth):
         return 0.0  # single cylinder per depth: the one-point golden tail
     l_prev, l_cur = _cf_lengths(N, depth)
 
-    from scipy.optimize import brentq  # imported here: scipy is most of the package's import time
+    def log_length_ratio(s):
+        return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
 
-    # the lengths go in through `args`, not a closure: brentq wraps its callback in a
-    # self-referencing closure, a cycle that would keep a closure's arrays alive until
-    # the next full collection
-    return float(brentq(_log_length_ratio, 0.0, 1.0, args=(l_cur, l_prev), xtol=1e-12, rtol=8.9e-16))
+    return _brent_root(log_length_ratio)

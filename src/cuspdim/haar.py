@@ -39,6 +39,7 @@ C11 = 2.0  # perturbations g keep max(||g - I||, ||g^-1 - I||) <= C11 r
 MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
+DRAW_BUDGET = 10**8  # Haar samples core_inclusion_check may draw to fill U(eps/2): ~26 s
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
 
@@ -301,9 +302,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     resid = Y - (slope * X + intercept)
     dof = max(len(X) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((X - X.mean()) ** 2)))
-    from scipy.special import stdtrit  # imported here: scipy is most of the package's import time
-
-    half = float(stdtrit(dof, 0.975)) * se
+    half = _t_quantile_975(dof) * se
     return ScalingFit(
         eps_grid=list(eps_grid),
         fractions=fractions.tolist(),
@@ -311,6 +310,54 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
         slope_ci=(float(slope) - half, float(slope) + half),
         warning=warning,
     )
+
+
+def _beta_cf(a, x):
+    """The continued fraction of I_x(a, 1/2) (modified Lentz); it converges for x < (a + 1)/(a + 5/2)."""
+    c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10**4):
+        for aa in (
+            m * (0.5 - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise InvariantViolation(f"incomplete beta continued fraction at a = {a}, x = {x} did not converge")
+
+
+def _t_quantile_975(dof):
+    """The 0.975 quantile of Student's t with dof degrees of freedom (scipy's stdtrit(dof, 0.975)).
+
+    Newton on the upper tail P(T > t) = I_x(dof/2, 1/2)/2, x = dof/(dof + t^2),
+    from the normal quantile.  That start lies below the root and the tail is
+    convex in t, so the iterates rise to the root and every x they visit lies
+    where the continued fraction converges.  log Gamma(a + 1/2)/Gamma(a) is
+    lgamma's difference for small a and its asymptotic series past a = 25,
+    where the difference of two large lgamma values would lose digits.
+    """
+    nu = float(dof)
+    a = nu / 2.0
+    if a < 25.0:
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:
+        log_ratio = 0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) - 1 / (640 * a**5) + 17 / (14336 * a**7)
+    log_norm = log_ratio - 0.5 * math.log(math.pi)  # log Gamma(a + 1/2) / (Gamma(a) Gamma(1/2))
+    t = 1.959963984540054
+    for _ in range(100):
+        # I_x(a, 1/2) = x^a (1 - x)^(1/2) fraction / (a B(a, 1/2)); the density is x^(a + 1/2) / (sqrt(dof) B(a, 1/2))
+        log_x = -math.log1p(t * t / nu)  # log(dof/(dof + t^2)) without cancellation
+        log_root_1mx = math.log(t / math.sqrt(nu + t * t))
+        tail = 0.5 * math.exp(log_norm + a * log_x + log_root_1mx - math.log(a)) * _beta_cf(a, math.exp(log_x))
+        density = math.exp(log_norm + (a + 0.5) * log_x - 0.5 * math.log(nu))
+        step = (tail - 0.025) / density
+        t += step
+        if step <= 1e-13 * t:  # a step that does not rise is roundoff
+            return t
+    raise InvariantViolation(f"t quantile at dof = {dof} did not converge")
 
 
 def admissible_radius(eps, w):
@@ -379,7 +426,8 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     informational.  The g are the first accepted candidates of one
     stream, in order; renorm_rejects counts the candidates rejected
     before the last one used, and PERTURB_TRIES rejections in a row
-    raise BudgetExceeded.  More than PAIR_BUDGET pairs raise
+    raise BudgetExceeded.  More than PAIR_BUDGET pairs, or an expected
+    n_samples pi^2 / (3 eps^2) Haar draws above DRAW_BUDGET, raise
     BudgetExceeded before anything is drawn.
     """
     _require_d2(w)
@@ -391,19 +439,26 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     n_perturb = require_int("n-perturb", n_perturb)
     if n_samples * n_perturb > PAIR_BUDGET:
         raise BudgetExceeded(f"{n_samples * n_perturb} sample-perturbation pairs, budget is {PAIR_BUDGET}")
+    # U(eps/2) has Haar mass about 3 eps^2 / pi^2
+    expected = n_samples * math.pi**2 / (3.0 * eps**2)
+    if expected > DRAW_BUDGET:
+        raise BudgetExceeded(
+            f"about {expected:.3g} Haar draws to collect {n_samples} samples inside U(eps/2), budget is {DRAW_BUDGET}"
+        )
     adm = admissible_radius(eps, w)
     rng = rngmod.stream(seed, stream_id=4)
     half = eps / 2.0
     keep = []
-    proposed = 0
-    while sum(len(k) for k in keep) < n_samples:
-        if proposed > 10**8:
+    kept = drawn = 0
+    while kept < n_samples:
+        if drawn > DRAW_BUDGET:
             raise BudgetExceeded("could not collect enough samples inside U(eps/2)")
         x, y, theta, _ = sample_batch(rng, 1 << 15)
-        proposed += 1 << 15
+        drawn += 1 << 15
         bases = _bases(x, y, theta)
         d = delta2_batch(bases, "sup")
         keep.append(bases[d < half])
+        kept += len(keep[-1])
     bases = np.concatenate(keep)[:n_samples]
 
     g, renorm_rejects = _perturbations(rngmod.stream(seed, stream_id=5), r, C11, n_samples * n_perturb)

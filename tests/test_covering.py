@@ -325,9 +325,32 @@ def test_cf_lengths_match_integer_recurrence(N, depth):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "N, depth",
+    [(2, 8), (2, 12), (2, 14), (2, 15), (2, 16), (3, 9), (3, 10), (3, 11), (3, 12)]
+    + [(4, 8), (4, 9), (4, 10), (5, 8), (6, 7), (10, 6)],
+)
+def test_cf_root_equals_brentq(N, depth):
+    """The Brent port returns the float that scipy's brentq returns, at the same bracket and tolerances."""
+    from scipy.optimize import brentq
+
+    l_prev, l_cur = _cf_lengths(N, depth)
+
+    def f(s):
+        return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
+
+    assert cd.cf_digit_oracle(N, depth) == brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+
+
+def test_brent_root_needs_a_sign_change():
+    """A bracket without a sign change is a package defect, not a bare ValueError."""
+    with pytest.raises(cd.InvariantViolation, match=r"^no sign change on \[0, 1\]: f\(0\) = 1\.0, f\(1\) = 2\.0$"):
+        covering._brent_root(lambda s: 1.0 + s)
+
+
 def test_cf_oracle_memory():
     """The (4, 10) walk holds float64 denominators only: no int64 copies of the last two levels."""
-    cd.cf_digit_oracle(2, 6)  # scipy's import stays outside the measurement
+    cd.cf_digit_oracle(2, 6)  # first-call set-up stays outside the measurement
     tracemalloc.start()
     try:
         cd.cf_digit_oracle(4, 10)

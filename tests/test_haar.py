@@ -235,6 +235,16 @@ def test_pinned_outputs(monkeypatch):
         cd.core_inclusion_check(0.3, 0.8, W2, 200, 5, seed=0)
 
 
+def test_t_quantile_equals_stdtrit():
+    """The slope interval's 0.975 t quantile matches scipy's stdtrit to 1e-12 relative for dof 1..2000."""
+    from scipy.special import stdtrit
+
+    dofs = np.arange(1, 2001)
+    got = np.array([haar._t_quantile_975(int(dof)) for dof in dofs])
+    want = stdtrit(dofs, 0.975)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 def _sequential_perturbations(prng, r, C11, count):
     """One candidate per draw of four normals, as a reference for the blocked draws."""
     out, rejects = [], 0

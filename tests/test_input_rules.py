@@ -153,6 +153,23 @@ def test_inclusion_pairs_capped_before_sampling(monkeypatch):
         haar.core_inclusion_check(0.3, 0.05, W2, 20, 2, seed=0)
 
 
+def test_inclusion_draws_capped_before_sampling(monkeypatch):
+    """An eps whose U(eps/2) needs more than DRAW_BUDGET expected Haar draws exits 3 before any is drawn:
+    20 samples at eps = 1e-3 expect 20 pi^2 / (3e-6) ~ 6.58e7 draws, over a cap of 6e7 and under the real 1e8."""
+
+    def no_draw(*args):
+        raise AssertionError("sampled before the draw cap was checked")
+
+    budget = haar.DRAW_BUDGET
+    monkeypatch.setattr(haar, "sample_batch", no_draw)
+    monkeypatch.setattr(haar, "DRAW_BUDGET", 6 * 10**7)
+    with pytest.raises(cd.BudgetExceeded, match=r"^about 6\.58e\+07 Haar draws to collect 20 samples inside"):
+        haar.core_inclusion_check(1e-3, 0.0, W2, 20, 1, seed=0)
+    monkeypatch.setattr(haar, "DRAW_BUDGET", budget)
+    with pytest.raises(AssertionError, match="^sampled before"):  # admitted: it starts drawing
+        haar.core_inclusion_check(1e-3, 0.0, W2, 20, 1, seed=0)
+
+
 def test_brute_count_budget_checked_first():
     """At weights (1; 1) and t = 10 one axis has 2 ceil(e^20) + 5 translates: refused before the walk."""
     with pytest.raises(cd.BudgetExceeded, match="^970330397 translates on one axis, budget is 100000000$"):

@@ -80,11 +80,38 @@ def test_one_error_class_per_exit_code():
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported by the two functions that call it, not by importing the CLI."""
+    """scipy is a test dependency only: importing the CLI loads none of it."""
     code = "import sys, cuspdim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+# one small run of each subcommand: oracle-cf and dim --oracle solve the CF root, nondiv takes the t quantile
+SUBCOMMAND_RUNS = [
+    ["delta"],
+    ["bad", "--A", "0.5", "--c", "0.1"],
+    ["orbit", "--A", "0.5", "--t-max", "5"],
+    ["mu", "--eps", "0.1", "--n-samples", "2000"],
+    ["nondiv", "--n-samples", "20000"],
+    ["cover", "--k-max", "3", "--t", "1.0", "--c", "0.1"],
+    ["dim", "--k-max", "5", "--t", "1.0", "--c", "0.1", "--oracle", "--oracle-n", "2", "--oracle-depth", "8"],
+    ["oracle-cf", "--n-digit", "2", "--depth", "8"],
+]
+
+
+def test_every_subcommand_runs_without_scipy():
+    """With scipy blocked from import, each subcommand exits 0 and no scipy module is loaded."""
+    code = f"""
+import os, sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+from cuspdim import cli
+print([cli.main([*argv, "--no-timestamp", "--out", os.devnull]) for argv in {SUBCOMMAND_RUNS!r}])
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines() == [str([0] * len(SUBCOMMAND_RUNS)), "[]"]
 
 
 def test_cli_import_loads_no_subprocess():
