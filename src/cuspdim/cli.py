@@ -4,7 +4,7 @@ The CLI only decodes flags and config into typed values (`_resolve`);
 the library function that consumes a value checks it, and each error
 class carries its exit code (`cuspdim.errors`).  Reports echo the
 values the run read from flags and the config; a constant such as
-`cover`'s K3 is calibrated in the run and reported with its results,
+`cover`'s K3 is derived in the run and reported with its results,
 never read from the config.  With --no-timestamp two runs of the same
 config produce byte-identical output.
 """
@@ -282,7 +282,9 @@ def cmd_cover(args, config):
     w, r, cover = _survivor_cover(args, config)
     tess = covering.tessellation_new(w.m * w.n, r)
     sweep_t = [0.5 * i for i in range(1, 9)]
-    K3 = covering.calibrate_K3(tess, w, sweep_t)
+    # count = prod ceil(E_i) < prod (E_i + 1) with E_i = e^{lambda_i t} >= 1, and prod (1 + 1/E_i) - 1
+    # <= (2^L - 1) e^{-lambda_0 t}: with this K3 the bound holds at every t >= 0, so the sweep can fail
+    K3 = (2**tess.L - 1) * tess.side**tess.L
     sweep = [
         {
             "t": tv,

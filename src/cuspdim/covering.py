@@ -11,9 +11,10 @@ anisotropic Bowen boxes.  Three computations live here:
                       bound of the product-volume form
   * survivor_cover  - the recursive cover of the set of h whose orbit
                       has not certifiably entered {delta_w < c^(1/d)}
-                      by level k (centers tested at time k*t with a
-                      conservative safety factor, so boxes are only
-                      discarded when the whole box is certainly inside)
+                      by level k (children tile their parent; centers
+                      tested at time k*t with a conservative safety
+                      factor, so boxes are only discarded when the
+                      whole box is certainly inside)
   * box_dimension_fit / cf_digit_oracle - a log-log box-count estimate
                       and a continued-fraction cylinder oracle that is
                       fully independent of the dynamical code path
@@ -323,11 +324,14 @@ def survivor_cover(x0, w, c, r, t, k_max):
     reduced integer basis of its parent).  The safety factor,
     `default_safety`, covers the distance from the center to any point
     of the box after conjugation, so discarding is sound (conservative
-    keep).  Children are placed on the refined grid from the parent's
-    low corner, the last translate per axis snapped inward, so level
-    k+1 boxes stay inside the closure of their parent while covering
-    it (a check that raises InvariantViolation otherwise).  Hitting the
-    total box budget BOX_BUDGET truncates the run gracefully.
+    keep).  Each parent axis splits into M = `_per_axis_count(e^(lambda t))`
+    equal children, so level k+1 boxes tile their parent exactly (a check
+    raises InvariantViolation if one leaves it) and level k boxes have
+    side side/M^k.  M is ceil(e^(lambda t)) but for an e^(lambda t)
+    within relative _NEAR_INT_TOL of an integer, so after conjugation by
+    g_{kt} a level k box has half side at most (side/2)(1 + _NEAR_INT_TOL)^k:
+    the Bowen box that `default_safety` covers, up to that tolerance.
+    Hitting the total box budget BOX_BUDGET truncates the run gracefully.
     """
     eps = cusp_radius(c, w.d)
     if not 0 < r <= R_CAP:
@@ -342,51 +346,41 @@ def survivor_cover(x0, w, c, r, t, k_max):
     safety = default_safety(w, side)
     thresh = eps / safety
 
-    lows = np.zeros((1, L))
-    sides0 = np.full(L, side)
-    levels = [
-        CoverLevel(k=0, centers=lows + sides0 / 2.0, half_sides=sides0 / 2.0, count=1)
-    ]
-    total = 1
-    truncated = False
     m_axis = [_per_axis_count(math.exp(lam * t)) for lam in lams]
     n_children = math.prod(m_axis)
+    parent_sides = np.full(L, side)
+    kept = parent_sides[None, :] / 2.0
+    levels = [CoverLevel(k=0, centers=kept, half_sides=parent_sides / 2.0, count=1)]
+    total = 1
+    truncated = False
     # d = 2, equal weights: reduced integer bases of the kept boxes, so that
     # each child's reduction starts from its parent's (level 0: the identity)
     coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 else None
     for k in range(1, k_max + 1):
-        child_sides = side * np.exp(-lams * k * t)
-        parent_sides = side * np.exp(-lams * (k - 1) * t)
-        if total + len(lows) * n_children > BOX_BUDGET:
+        child_sides = side / np.float_power(m_axis, k)
+        if total + len(kept) * n_children > BOX_BUDGET:
             truncated = True
             break
         offsets = []
         for ax in range(L):
             off = np.arange(m_axis[ax]) * child_sides[ax]
-            # snap the last translate inward: containment in the parent
-            # closure and full coverage both hold
-            off = np.minimum(off, parent_sides[ax] - child_sides[ax])
             # nesting check: the furthest child edge stays within the parent
             if not off[-1] + child_sides[ax] <= parent_sides[ax] * (1 + 1e-12):
                 raise InvariantViolation(f"level {k} children leave their parent box on axis {ax}")
             offsets.append(off)
         grids = np.meshgrid(*offsets, indexing="ij")
         off_grid = np.stack([g.reshape(-1) for g in grids], axis=1)
-        child_lows = (lows[:, None, :] + off_grid[None, :, :]).reshape(-1, L)
-        centers = child_lows + child_sides / 2.0
+        parent_lows = kept - parent_sides / 2.0
+        centers = (parent_lows[:, None, :] + off_grid[None, :, :]).reshape(-1, L) + child_sides / 2.0
         total += len(centers)
         child_coeffs = None if coeffs is None else np.repeat(coeffs, n_children, axis=1)
         dvals = _delta_at_centers(centers, k * t, x0, w, child_coeffs)
         keep = dvals >= thresh
-        lows = child_lows[keep]
+        kept = centers[keep]
         if coeffs is not None:
             coeffs = child_coeffs[:, keep]
-        lvl = CoverLevel(
-            k=k,
-            centers=centers[keep],
-            half_sides=child_sides / 2.0,
-            count=int(np.count_nonzero(keep)),
-        )
+        parent_sides = child_sides
+        lvl = CoverLevel(k=k, centers=kept, half_sides=child_sides / 2.0, count=len(kept))
         levels.append(lvl)
         if lvl.count == 0:
             break

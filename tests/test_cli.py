@@ -442,7 +442,7 @@ def test_non_integral_int_exit_1(tmp_path, capsys, command, field, extra, form):
 
 
 def test_unknown_constant_rejected(tmp_path, capsys):
-    """`constants` is not a config key: K3 comes only from `cover`'s calibration, so a block that
+    """`constants` is not a config key: K3 comes only from `cover`'s closed form, so a block that
     sets it, or any other constant, exits 1 naming `constants` instead of being dropped silently."""
     for block in ({"K3": 0.8}, {"K3": None}, {"K9": 1.0}):
         cfg = tmp_path / "cfg.json"
@@ -469,7 +469,7 @@ def test_unknown_constant_rejected(tmp_path, capsys):
     ids=lambda argv: argv[0],
 )
 def test_no_report_holds_constants(capsys, argv):
-    """No command reads or echoes a constants block; `cover` reports the K3 it calibrated in its results."""
+    """No command reads or echoes a constants block; `cover` reports its proven K3 in its results."""
     assert "constants" not in SCHEMA["properties"] and "constants" not in SCHEMA["required"]
     assert not hasattr(cli, "CONSTANT_DEFAULTS")
     assert list(inspect.signature(cli.COMMANDS[argv[0]]).parameters) == ["args", "config"]
@@ -477,7 +477,9 @@ def test_no_report_holds_constants(capsys, argv):
     assert code == 0
     assert "constants" not in rep and "constants" not in rep["config"]
     if argv[0] == "cover":
-        assert 0 < rep["results"]["K3"] < math.inf
+        # (2^L - 1) side^L at L = 1 and the default r = 0.5
+        assert rep["results"]["K3"] == 0.125
+        assert all(row["bound"] >= row["count"] for row in rep["results"]["count_bound_sweep"])
 
 
 def test_usage_error_exit_1(capsys):

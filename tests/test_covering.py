@@ -60,6 +60,24 @@ def test_count_matches_brute_sweep():
                 assert got == want, (r, t, w, got, want)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [W2, W3, cd.WeightVector((0.4, 0.6), (1.0,)), cd.WeightVector((1.0,), (0.5, 0.5))],
+    ids=["1;1", "1;0.3,0.7", "0.4,0.6;1", "1;0.5,0.5"],
+)
+def test_lemma_bound_with_proven_K3(w):
+    """With `cover`'s K3 = (2^L - 1) side^L the bound dominates the exact count at every t, and a
+    K3 calibrated on `cover`'s sweep grid is never above it."""
+    sweep_t = [0.5 * i for i in range(1, 9)]
+    for r in (0.1, 0.3, 0.5, 0.65, 0.8, 1.0):
+        tess = cd.tessellation_new(w.m * w.n, r)
+        K3 = (2**tess.L - 1) * tess.side**tess.L
+        for i in range(1000):
+            t = i / 100.0
+            assert cd.lemma61_bound(tess, w, t, K3) >= cd.count_S_rt(tess, w, t), (r, t)
+        assert cd.calibrate_K3(tess, w, sweep_t) <= K3, r
+
+
 def test_lemma_bound_dominates_sweep():
     """Calibrated-K3 bound >= exact count across the full sweep."""
     ts = [0.0, 0.4, 0.9, 1.3, 1.8]
@@ -174,25 +192,83 @@ def test_anti_monotone_in_c():
 
 
 def test_deep_cusp_first_step_consistency():
-    """k=1 survival at a deep-cusp x0 equals direct center-orbit evaluation."""
-    B0 = np.diag([math.exp(-3.0), math.exp(3.0)])
-    x0 = cd.make_lattice(B0)
-    c, r, t = 0.25, 0.5, 1.0
-    cov = cd.survivor_cover(x0, W2, c, r, t, 1)
-    eps = math.sqrt(c)
+    """k=1 survival equals direct center-orbit evaluation on the tiling grid (j + 1/2) side/M:
+    deep in the cusp nothing survives, and from Z^2 at t = 2, 27 of 55 boxes do."""
+    c, r = 0.25, 0.5
     side = r / 4.0
-    thresh = eps / cov.safety
-    m_ax = _per_axis_count(math.exp(2.0 * t))
-    cs = side * math.exp(-2.0 * t)
-    centers = np.minimum(np.arange(m_ax) * cs, side - cs) + cs / 2.0
-    keep = []
-    for h in centers:
-        lat = cd.make_lattice(cd.g_t(W2, t) @ cd.u_A(float(h)) @ B0)
-        if cd.delta_weighted(lat, W2) >= thresh:
-            keep.append(h)
-    got = np.sort(cov.levels[1].centers[:, 0])
-    assert cov.levels[1].count == len(keep)
-    assert np.allclose(got, np.array(keep), atol=1e-12)
+    for basis, t, kept in ((np.diag([math.exp(-3.0), math.exp(3.0)]), 1.0, 0), (np.eye(2), 2.0, 27)):
+        cov = cd.survivor_cover(cd.make_lattice(basis), W2, c, r, t, 1)
+        thresh = math.sqrt(c) / cov.safety
+        m_ax = _per_axis_count(math.exp(2.0 * t))
+        keep = []
+        for h in (np.arange(m_ax) + 0.5) * side / m_ax:
+            lat = cd.make_lattice(cd.g_t(W2, t) @ cd.u_A(float(h)) @ basis)
+            if cd.delta_weighted(lat, W2) >= thresh:
+                keep.append(h)
+        got = np.sort(cov.levels[1].centers[:, 0])
+        assert cov.levels[1].count == len(keep) == kept
+        assert np.allclose(got, np.array(keep), atol=1e-12)
+
+
+X037 = cd.make_lattice(np.array([[1.0, 0.37], [0.0, 1.0]]))
+
+
+def _union_length(level):
+    """Total length of the union of a 1-D level's closed kept boxes."""
+    lo = np.sort(level.centers[:, 0]) - level.half_sides[0]
+    hi = lo + 2.0 * level.half_sides[0]
+    # a box starts a new run of the union when it begins past every earlier box's end
+    starts = np.concatenate([[True], lo[1:] > np.maximum.accumulate(hi)[:-1]])
+    run_ends = np.maximum.reduceat(hi, np.flatnonzero(starts))
+    return float(np.sum(run_ends - lo[starts]))
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5])
+def test_kept_boxes_do_not_overlap(t):
+    """Children tile their parent: count x box length is the union length of the kept boxes at every level."""
+    cov = cd.survivor_cover(X037, W2, 0.25, 0.5, t, 8)
+    assert len(cov.levels) == 9 and not cov.truncated
+    for lv in cov:
+        assert lv.count * lv.box_size == pytest.approx(_union_length(lv), rel=1e-9), lv.k
+
+
+def test_slope_at_most_ambient_dimension():
+    """At t = 0.25 the h-line cover's box dimension stays at most 1, its ambient dimension."""
+    cov = cd.survivor_cover(X037, W2, 0.25, 0.5, 0.25, 24)
+    assert cd.box_dimension_fit(cov).slope <= 1.0
+
+
+@pytest.mark.parametrize(
+    ("t", "counts"),
+    [
+        (math.log(2.0) / 2.0, [1, 2, 4, 8, 16, 23, 46, 75, 132]),
+        (math.log(3.0) / 2.0, [1, 3, 9, 18, 54, 122, 299, 740, 1786]),
+    ],
+    ids=["ln2/2", "ln3/2"],
+)
+def test_integer_refinement_counts(t, counts):
+    """With e^{2t} an integer the Bowen boxes tile already: the level counts are those of the Bowen grid."""
+    cov = cd.survivor_cover(X037, W2, 0.25, 0.5, t, 8)
+    assert [lv.count for lv in cov] == counts
+
+
+@pytest.mark.parametrize(
+    ("w", "x0", "t", "k_max"),
+    [
+        *[(W2, X037, t, 3) for t in (0.5, 1.0, 1.5, 2.0, 2.25)],
+        (W3, cd.make_lattice(np.eye(3)), 1.0, 2),
+    ],
+    ids=["t0.5", "t1", "t1.5", "t2", "t2.25", "1;0.3,0.7-t1"],
+)
+def test_boxes_within_bowen_radius(w, x0, t, k_max):
+    """A level k box conjugated by g_{kt} has half side at most side/2, the radius `default_safety`
+    covers, up to the relative 1e-9 by which `_per_axis_count` may round e^{lambda t} down."""
+    side = cd.tessellation_new(w.m * w.n, 0.5).side
+    lams = np.array([ik + jl for ik in w.i for jl in w.j])
+    cov = cd.survivor_cover(x0, w, 0.1, 0.5, t, k_max)
+    assert len(cov.levels) == k_max + 1
+    for lv in cov:
+        assert np.all(lv.half_sides * np.exp(lams * lv.k * t) <= side / 2.0 * (1.0 + 1e-9) ** lv.k), lv.k
 
 
 def test_conservative_soundness(cover_c025):
