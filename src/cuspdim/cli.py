@@ -195,9 +195,10 @@ def cmd_bad(args, config):
     flows.cusp_radius(c, w.d)
     flows.time_grid(t_max, dt)
     if q_bound is None:
-        # the orbit on [0, t_max] dips below sqrt(c) exactly when some
-        # q <= sqrt(c) e^{t_max} has q dist(qA, Z) < c: match the predicate to it
-        q_bound = math.ceil(math.sqrt(c) * math.exp(t_max))
+        # the orbit on [0, t_max] dips below c^(1/d) only through some q with every
+        # |q_l| <= (c^(n/d) e^{t_max})^{j_l}: match the predicate to the smallest cube
+        # holding that box (ceil(sqrt(c) e^{t_max}) at 1 x 1)
+        q_bound = math.ceil(max((c ** (w.n / w.d) * math.exp(t_max)) ** jl for jl in w.j))
     c_direct = flows.direct_bad_constant(A, w, q_bound)
     profile = flows.orbit_profile(A, w, t_max, dt)
     verdict = flows.classify_from_profile(profile, c, w.d)
@@ -337,8 +338,8 @@ def cmd_dim(args, config):
 def cmd_oracle_cf(args, config):
     N = _resolve(args, config, "n-digit", REQUIRED, _int)
     depth = _resolve(args, config, "depth", 12, _int)
-    est = covering.cf_digit_oracle(N, depth)
-    prev = covering.cf_digit_oracle(N, depth - 1) if depth > 4 else None
+    # one walk of the cylinders gives both depths
+    est, prev = covering.cf_digit_oracle(N, depth, prev=True) if depth > 4 else (covering.cf_digit_oracle(N, depth), None)
     res = {"N": N, "depth": depth, "estimate": est}
     if prev is not None:
         res["estimate_prev_depth"] = prev

@@ -19,20 +19,23 @@ anisotropic Bowen boxes.  Three computations live here:
                       and a continued-fraction cylinder oracle that is
                       fully independent of the dynamical code path
 
-For m = n = 1 the per-box cusp function is evaluated by an exact
-integer-pair Gauss reduction: basis vectors of g_T u_h x0 are tracked
-as integer combinations of the original generators and re-expanded in
-extended precision each step, because a naive float reduction loses
-the short vector once e^{2T} exceeds 1/eps_machine.  The cover keeps
-the reduced integer basis of every kept box, and each child's
-reduction starts from its parent's (the child's h moves by less than
-the parent's side, so a few steps finish it); each pass of the
-reduction runs only on the rows not yet reduced.  Coefficients past the
-exact-int64 range raise BudgetExceeded.  Other weights and
-dimensions evaluate delta_w(g_T u_h x0) by exact enumeration per box.
-The float reduction in `haar` stays separate: one integer-tracked
-reducer for both was either less accurate with float64 expansion or
-about twice as slow on Haar batches with long double.
+For m = n = 1 the per-box cusp function is evaluated by an
+integer-tracked Gauss reduction: basis vectors of g_T u_h x0 are carried
+as integer combinations of the original generators, so every step is
+exact, and re-expanded each step, because a naive float reduction loses
+the short vector once e^{2T} exceeds 1/eps_machine.  Each block of rows
+is reduced first in float64, which only picks the steps, then once more
+in long double from those rows, which checks them (about one pass per
+box) and gives every value; the long-double expansion's relative error
+is about 2^-64 e^{2T}.  The cover keeps the reduced integer basis of
+every kept box, and each child's reduction starts from its parent's (the
+child's h moves by less than the parent's side, so a few steps finish
+it); each pass of the reduction runs only on the rows not yet reduced.
+Coefficients past the exact-int64 range raise BudgetExceeded.  Other
+weights and dimensions evaluate delta_w(g_T u_h x0) by exact enumeration
+per box.  The float reduction in `haar` stays separate: one
+integer-tracked reducer for both was either less accurate with float64
+expansion or about twice as slow on Haar batches with long double.
 """
 
 import math
@@ -210,31 +213,29 @@ class CoverResult:
         return iter(self.levels)
 
 
-def _coeff_guard(*arrays):
-    # int64 products in the reduction stay exact only below 2^31
-    for a in arrays:
-        if np.any(np.abs(a) > (1 << 31)):
-            raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
-
-
 def sup_delta_flow_batch(h, T, basis, coeffs):
-    """Exact delta_sup(g_T u_h x0) for a batch of h, d = 2, equal weights.
+    """delta_sup(g_T u_h x0) for a batch of h, d = 2, equal weights.
 
     Integer coefficient pairs of both working basis vectors are carried
-    through the Gauss reduction and re-expanded in extended precision
-    every step; with |coeffs| <= 2^31 the arithmetic is exact (beyond it
-    BudgetExceeded is raised), and the final sup minimizer
-    over a reduced pair has coefficients in {(1,0), (0,1), (1,1), (1,-1)}
-    (a^2 - |ab| + b^2 <= 2).
+    through a Gauss reduction, so every step is unimodular and exact in
+    int64 while |coeffs| <= 2^31 (beyond it BudgetExceeded is raised).
+    The vectors are re-expanded from their integer rows in long double
+    every step.  That expansion is not exact: it cancels from about
+    e^T |coeffs| down to the vector's size, and its relative error grows
+    like 2^-64 e^{2T} (up to about 1e-6 at T = 15 on a sheared hexagonal
+    x0, 0 on Z^2 at T = 8).  The final sup minimizer over a reduced pair
+    has coefficients in {(1,0), (0,1), (1,1), (1,-1)} (a^2 - |ab| + b^2 <= 2).
 
     The reduction starts from the unimodular integer rows (a1, b1, a2,
     b2) of the (4, N) int64 array `coeffs`, which is overwritten with
     the reduced rows.  A start that is already nearly reduced, such as a
     parent box's basis at an earlier time, needs only a few steps.  Each
-    pass runs only on the rows still active: a row leaves once it has no
-    swap and mu = 0.  Every reduced basis holds the same minimal vectors,
-    so the values do not depend on the start.  Rows go through in blocks
-    of KERNEL_BLOCK, which bounds the long-double working memory.
+    block of KERNEL_BLOCK rows is reduced twice by `_reduce_block`: in
+    float64, which only picks the steps (a row it cannot finish keeps its
+    start), then in long double from those rows, which checks them,
+    finishes any row float64 left short and gives every value.  Every
+    reduced basis holds the same minimal vectors, so the values do not
+    depend on the start.
     """
     h = np.asarray(h, dtype=np.longdouble)
     N = h.shape[0]
@@ -244,22 +245,41 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
     out = np.empty(N)
     for lo in range(0, N, KERNEL_BLOCK):
         rows = slice(lo, lo + KERNEL_BLOCK)
-        out[rows] = _reduce_block(h[rows], coeffs[:, rows], B, eT, emT)
+        # float64 picks the steps: past T of about 354 its norms overflow (and it loses
+        # every digit well before), but a row it cannot finish keeps its start
+        with np.errstate(all="ignore"):
+            _reduce_block(h[rows].astype(float), coeffs[:, rows], B.astype(float), np.float64(eT), np.float64(emT))
+        out[rows], guarded, stuck = _reduce_block(h[rows], coeffs[:, rows], B, eT, emT)
+        if guarded:
+            raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
+        if stuck:
+            raise InvariantViolation(f"Gauss reduction of {stuck} rows did not converge in 96 passes")
     return out
 
 
 def _reduce_block(h, coeffs, B, eT, emT):
-    """The sup-minimum for one block of rows, reducing `coeffs` in place."""
+    """Gauss-reduce one block of rows in the float precision of `h`, `B` and `eT`.
+
+    Returns (sup-minima, rows past the 2^31 coefficient guard, rows not
+    reduced in 96 passes) and raises nothing.  The reduced integer rows
+    are written back into `coeffs` only for the rows it finished; the
+    minima of the other rows are meaningless.
+    """
 
     def vecs(a, b, h):
+        a, b = a.astype(B.dtype), b.astype(B.dtype)
         v1 = B[0, 0] * a + B[0, 1] * b
         v2 = B[1, 0] * a + B[1, 1] * b
         return eT * (v1 + h * v2), emT * v2
 
     def sup(x, y):
-        return np.maximum(np.abs(x), np.abs(y))
+        # rounding to float64 is monotone and odd, so the sup of the rounded components is the
+        # rounded sup; a component past float64's range rounds to inf, above any minimum (<= 1)
+        with np.errstate(over="ignore"):
+            return np.maximum(np.abs(x, dtype=float), np.abs(y, dtype=float))
 
-    best = np.empty(len(h), dtype=np.longdouble)
+    best = np.empty(len(h))
+    guarded = 0
     rows, hr, C = np.arange(len(h)), h, coeffs
     u0, u1 = vecs(C[0], C[1], hr)
     n1 = u0 * u0 + u1 * u1
@@ -269,26 +289,32 @@ def _reduce_block(h, coeffs, B, eT, emT):
         swap = n2 < n1
         # the shorter vector goes first (its expansion is carried to the next
         # pass); the projection onto it is symmetric in the two vectors
-        mu = np.rint((u0 * w0 + u1 * w1) / np.minimum(n1, n2)).astype(np.int64)
+        n1 = np.minimum(n1, n2)
+        mu = np.rint((u0 * w0 + u1 * w1) / n1).astype(float, copy=False)
+        # int64 products stay exact while |mu| and |C| stay below 2^31; a row past it
+        # (a NaN mu too) is dropped, so what its mu casts to is never used
+        fits = np.abs(mu) <= 1 << 31
+        mu = mu.astype(np.int64)
         C = np.where(swap, C[[2, 3, 0, 1]], C)
         C[2:] -= mu * C[:2]
-        _coeff_guard(mu, C)
-        u0, u1, n1 = np.where(swap, w0, u0), np.where(swap, w1, u1), np.minimum(n1, n2)
-        done = ~swap & (mu == 0)
-        if done.any():
-            # a reduced row leaves, with the candidates (1,0) and (0,1) of its minimum
-            coeffs[:, rows[done]] = C[:, done]
+        fits &= np.all(np.abs(C) <= 1 << 31, axis=0)
+        u0, u1 = np.where(swap, w0, u0), np.where(swap, w1, u1)
+        done = fits & ~swap & (mu == 0)
+        leave = done | ~fits
+        if leave.any():
+            # a reduced row leaves with the candidates (1,0) and (0,1) of its minimum;
+            # a row past the guard leaves with its start rows untouched
+            coeffs[:, rows[done]] = np.compress(done, C, axis=1)
             best[rows[done]] = np.minimum(sup(u0[done], u1[done]), sup(w0[done], w1[done]))
-            keep = ~done
-            rows, hr, C, u0, u1, n1 = rows[keep], hr[keep], C[:, keep], u0[keep], u1[keep], n1[keep]
+            guarded += int(np.count_nonzero(~fits))
+            keep = ~leave
+            rows, hr, C, u0, u1, n1 = rows[keep], hr[keep], np.compress(keep, C, axis=1), u0[keep], u1[keep], n1[keep]
             if rows.size == 0:
                 break
-    else:
-        raise InvariantViolation(f"Gauss reduction of {rows.size} rows did not converge in 96 passes")
     a1, b1, a2, b2 = coeffs
     for cb in (1, -1):
         best = np.minimum(best, sup(*vecs(a1 + cb * a2, b1 + cb * b2, h)))
-    return best
+    return best, guarded, rows.size
 
 
 def default_safety(w, side):
@@ -445,8 +471,8 @@ def box_dimension_fit(levels, sizes=None):
     )
 
 
-def _cf_lengths(N, depth):
-    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at depths depth-1 and depth, from one walk.
+def _cf_lengths(N, depth, levels=2):
+    """Cylinder interval lengths 1/(q_k (q_k + q_{k-1})) at the last `levels` depths up to `depth`, from one walk.
 
     The denominators are built in float64, where they are exact integers:
     CF_BUDGET keeps every q_k below 6e8 (N = 2, depth 23), far under 2^53.
@@ -454,12 +480,12 @@ def _cf_lengths(N, depth):
     cur = np.ones(1)  # q_0
     prev = np.zeros(1)  # q_{-1}
     digits = np.arange(1.0, N + 1)
-    levels = []
+    out = []
     for k in range(1, depth + 1):
         cur, prev = (digits[:, None] * cur + prev).reshape(-1), np.tile(cur, N)
-        if k >= depth - 1:
-            levels.append(1.0 / (cur * (cur + prev)))
-    return levels
+        if k > depth - levels:
+            out.append(1.0 / (cur * (cur + prev)))
+    return out
 
 
 def _brent_root(f):
@@ -509,24 +535,27 @@ def _brent_root(f):
     raise InvariantViolation("Brent root on [0, 1] did not converge in 100 iterations")
 
 
-def cf_digit_oracle(N, depth):
+def cf_digit_oracle(N, depth, prev=False):
     """Box-dimension estimate of E_N = {all partial quotients <= N}.
 
     Enumerates all depth-level continued-fraction cylinders with digits
     <= N and returns the exponent s at which the total s-weighted
     cylinder length is the same at depths depth-1 and depth (the
     root of log sum l^s across two consecutive depths).  Entirely
-    independent of the dynamical code path.
+    independent of the dynamical code path.  With `prev` (depth >= 5)
+    it returns (the estimate, the estimate at depth - 1), both from one
+    walk of the cylinders that keeps one more level.
     """
     N = require_int("N", N)
-    depth = require_int("depth", depth, least=4)
+    depth = require_int("depth", depth, least=5 if prev else 4)
     if N**depth > CF_BUDGET:
         raise BudgetExceeded(f"N^depth = {N ** depth} exceeds cap {CF_BUDGET}")
     if N == 1:
-        return 0.0  # single cylinder per depth: the one-point golden tail
-    l_prev, l_cur = _cf_lengths(N, depth)
+        return (0.0, 0.0) if prev else 0.0  # single cylinder per depth: the one-point golden tail
+    lengths = _cf_lengths(N, depth, 3 if prev else 2)
 
-    def log_length_ratio(s):
-        return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
+    def root(l_prev, l_cur):
+        return _brent_root(lambda s: math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s))))
 
-    return _brent_root(log_length_ratio)
+    est = root(lengths[-2], lengths[-1])
+    return (est, root(lengths[0], lengths[1])) if prev else est

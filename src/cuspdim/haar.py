@@ -22,7 +22,8 @@ path in the tests.  Haar bases have moderate entries, so a float
 reduction suffices here; on g_t u_h x it loses about e^{2t} max|B|^2
 2^-52, which `nondivergence_profile` reports as a warning once it is no
 longer small against eps.  The flowed bases of the survivor cover need
-the integer-tracked, long-double kernel in `covering`.
+the integer-tracked kernel in `covering`, whose float64 steps are checked
+by a long-double pass that gives its values.
 """
 
 import math

@@ -175,6 +175,18 @@ def test_weighted_bad_matches_direct_constant(tmp_path, capsys):
     assert rep["results"]["c_direct"] == float(f"{want:.12g}")
 
 
+def test_weighted_bad_default_q_bound_is_the_window(tmp_path, capsys):
+    """Without --q-bound, `bad` takes the smallest cube holding the window's box |q_l| <= (c^(n/d) e^{t_max})^{j_l}:
+    q-bound 271 for (1; 0.3, 0.7) at c = 0.05 and t_max = 10."""
+    cfg = tmp_path / "cfg.json"
+    A = [[math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]]
+    cfg.write_text(json.dumps({**_WEIGHTED, "A": A, "c": 0.05, "t-max": 10.0, "dt": 0.25}))
+    code, rep = run_json(capsys, "bad", "--config", str(cfg))
+    assert code == 2  # a Boundary verdict at this coarse dt
+    want = cd.direct_bad_constant(np.array(A), cd.WeightVector((1.0,), (0.3, 0.7)), 271)
+    assert rep["results"]["c_direct"] == float(f"{want:.12g}")
+
+
 def test_orbit_csv_header(capsys):
     code, out = run(capsys, "orbit", "--A", "0.5", "--t-max", "1", "--dt", "0.5", "--format", "csv")
     assert code == 0
@@ -327,6 +339,18 @@ def test_oracle_cf_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "N,depth,estimate"
     assert lines[1].startswith("4,10,0.7889")
+
+
+def test_oracle_cf_walks_the_cylinders_once(capsys, monkeypatch):
+    """Both depths of `oracle-cf` come from one walk, with the roots of two separate oracle calls."""
+    walks = []
+    lengths = covering._cf_lengths
+    monkeypatch.setattr(covering, "_cf_lengths", lambda *a: walks.append(a) or lengths(*a))
+    code, rep = run_json(capsys, "oracle-cf", "--n-digit", "3", "--depth", "9")
+    assert code == 0 and len(walks) == 1
+    monkeypatch.undo()
+    assert rep["results"]["estimate"] == float(f"{cd.cf_digit_oracle(3, 9):.12g}")
+    assert rep["results"]["estimate_prev_depth"] == float(f"{cd.cf_digit_oracle(3, 8):.12g}")
 
 
 def test_oracle_cf_validation(capsys):

@@ -1,9 +1,12 @@
 """Tessellation counts, survivor covers, dimension fits, and the cylinder oracle."""
 
 import ast
+import decimal
 import inspect
 import math
+import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -144,6 +147,76 @@ def test_kernel_blocks_match_one_block(monkeypatch):
     monkeypatch.setattr(covering, "KERNEL_BLOCK", 7)
     assert np.array_equal(sup_delta_flow_batch(h, 6.0, _SHEARED_HEX, many), whole)
     assert np.array_equal(many, one)
+
+
+def _decimal_sup_min(h, T, basis, pairs):
+    """min over the integer pairs (a, b) of |g_T u_h x0 (a, b)|_inf, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        eT = Decimal(T).exp()
+        (b00, b01), (b10, b11) = [[Decimal(float(x)) for x in row] for row in basis]
+        hd = Decimal(float(h))
+        sups = []
+        for a, b in pairs:
+            v1, v2 = b00 * a + b01 * b, b10 * a + b11 * b
+            sups.append(max(abs(eT * (v1 + hd * v2)), abs(v2 / eT)))
+        return min(sups)
+
+
+@pytest.mark.parametrize("T", [5.0, 8.0, 12.0, 15.0])
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["Z2", "hex"])
+def test_kernel_error_against_decimal(T, hexagonal):
+    """The kernel's value is the sup-minimum over its own four candidate pairs to a relative
+    2^-60 e^{2T}: the long-double expansion cancels from about e^T |coeffs| to the vector's size."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    h = np.random.default_rng(29).uniform(0.0, 1.0, 300)
+    coeffs = _identity_rows(len(h))
+    got = sup_delta_flow_batch(h, T, basis, coeffs)
+    bound = 2.0**-60 * math.exp(2.0 * T)
+    for k in range(len(h)):
+        a1, b1, a2, b2 = (int(x) for x in coeffs[:, k])
+        want = _decimal_sup_min(h[k], T, basis, [(a1, b1), (a2, b2), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2)])
+        assert abs(Decimal(float(got[k])) - want) <= Decimal(bound) * want, (k, float(want))
+
+
+def _long_double_only(h, T, basis):
+    """The Gauss loop run once, in long double, from the identity: the values or the error of that path."""
+    LD = np.longdouble
+    best, guarded, stuck = covering._reduce_block(
+        np.asarray(h, dtype=LD), _identity_rows(len(h)), np.asarray(basis, dtype=LD), np.exp(LD(T)), np.exp(-LD(T))
+    )
+    if guarded:
+        return cd.BudgetExceeded, "Gauss reduction coefficients exceeded the exact-int64 range 2^31"
+    if stuck:
+        return cd.InvariantViolation, f"Gauss reduction of {stuck} rows did not converge in 96 passes"
+    return best
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0, 5.0, 8.0, 11.0, 14.0, 15.0])
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["Z2", "hex"])
+def test_kernel_matches_long_double_loop(T, hexagonal):
+    """Steps picked in float64 and certified in long double give the values of the long-double loop alone."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    h = np.random.default_rng(31).uniform(0.0, 1.0, 2000)
+    got = sup_delta_flow_batch(h, T, basis, _identity_rows(len(h)))
+    assert np.array_equal(got, _long_double_only(h, T, basis))
+
+
+@pytest.mark.parametrize(
+    "h, T",
+    [(0.7952948234487297, 16.0), (0.7952948234487297, 17.0), (0.831396183096627, 16.0), (1 / math.pi, 20.0), (1 / math.pi, 23.0)],
+)
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["Z2", "hex"])
+def test_kernel_deep_rows_match_long_double_loop(h, T, hexagonal):
+    """Rows deep in the cusp, where the reduction can fail on Z^2 (ROADMAP item 11, still open), give the
+    value or the error class and message of the long-double loop alone: this pins agreement, not correctness."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    want = _long_double_only(np.array([h]), T, basis)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
+            sup_delta_flow_batch(np.array([h]), T, basis, _identity_rows(1))
+    else:
+        assert np.array_equal(sup_delta_flow_batch(np.array([h]), T, basis, _identity_rows(1)), want)
 
 
 def test_extinction_near_c1(cover_c025):
@@ -416,6 +489,12 @@ def test_cf_root_equals_brentq(N, depth):
         return math.log(float(np.sum(l_cur**s))) - math.log(float(np.sum(l_prev**s)))
 
     assert cd.cf_digit_oracle(N, depth) == brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("N, depth", [(2, 14), (2, 15), (2, 16), (3, 11), (3, 12), (4, 10), (2, 5), (1, 9)])
+def test_cf_oracle_prev_equals_two_oracles(N, depth):
+    """One walk to `depth` gives the roots that separate walks to depth and depth - 1 give."""
+    assert cd.cf_digit_oracle(N, depth, prev=True) == (cd.cf_digit_oracle(N, depth), cd.cf_digit_oracle(N, depth - 1))
 
 
 def test_brent_root_needs_a_sign_change():
