@@ -24,18 +24,18 @@ integer-tracked Gauss reduction: basis vectors of g_T u_h x0 are carried
 as integer combinations of the original generators, so every step is
 exact, and re-expanded each step, because a naive float reduction loses
 the short vector once e^{2T} exceeds 1/eps_machine.  Each block of rows
-is reduced first in float64, which only picks the steps, then once more
-in long double from those rows, which checks them (about one pass per
-box) and gives every value; the long-double expansion's relative error
-is about 2^-64 e^{2T}.  The cover keeps the reduced integer basis of
-every kept box, and each child's reduction starts from its parent's (the
-child's h moves by less than the parent's side, so a few steps finish
-it); each pass of the reduction runs only on the rows not yet reduced.
-Coefficients past the exact-int64 range raise BudgetExceeded.  Other
-weights and dimensions evaluate delta_w(g_T u_h x0) by exact enumeration
-per box.  The float reduction in `haar` stays separate: one
-integer-tracked reducer for both was either less accurate with float64
-expansion or about twice as slow on Haar batches with long double.
+is reduced in float64, which only picks the steps, then in long double
+from those rows, which checks them (about one pass per box); the loops
+only reduce, and `haar.reduced_sup_min` evaluates the reduced pair
+expanded in long double (relative error about 2^-64 e^{2T}).  Each
+child's reduction starts from its parent's reduced integer basis (its h
+moves by less than the parent's side, so a few steps finish it), and
+each pass runs only on the rows not yet reduced.  Coefficients past the
+exact-int64 range raise BudgetExceeded.  Other weights and dimensions
+evaluate delta_w(g_T u_h x0) by exact enumeration per box.  The float
+Gauss loop in `haar` stays separate: one integer-tracked loop for both
+was less accurate with float64 expansion, or about twice as slow on Haar
+batches with long double.
 """
 
 import math
@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateFit, InvariantViolation, ValidationError, require_int
 from .flows import T_LIMIT, cusp_radius, g_t, u_A
+from .haar import reduced_sup_min
 from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 
 BOX_BUDGET = 10**7
@@ -216,85 +217,69 @@ class CoverResult:
 def sup_delta_flow_batch(h, T, basis, coeffs):
     """delta_sup(g_T u_h x0) for a batch of h, d = 2, equal weights.
 
-    Integer coefficient pairs of both working basis vectors are carried
-    through a Gauss reduction, so every step is unimodular and exact in
+    The Gauss reduction starts from the unimodular integer rows (a1, b1,
+    a2, b2) of the (4, N) int64 array `coeffs` and overwrites them with
+    the reduced rows; a nearly reduced start, such as a parent box's basis
+    at an earlier time, needs only a few steps.  Every step is exact in
     int64 while |coeffs| <= 2^31 (beyond it BudgetExceeded is raised).
-    The vectors are re-expanded from their integer rows in long double
-    every step.  That expansion is not exact: it cancels from about
-    e^T |coeffs| down to the vector's size, and its relative error grows
-    like 2^-64 e^{2T} (up to about 1e-6 at T = 15 on a sheared hexagonal
-    x0, 0 on Z^2 at T = 8).  The final sup minimizer over a reduced pair
-    has coefficients in {(1,0), (0,1), (1,1), (1,-1)} (a^2 - |ab| + b^2 <= 2).
-
-    The reduction starts from the unimodular integer rows (a1, b1, a2,
-    b2) of the (4, N) int64 array `coeffs`, which is overwritten with
-    the reduced rows.  A start that is already nearly reduced, such as a
-    parent box's basis at an earlier time, needs only a few steps.  Each
-    block of KERNEL_BLOCK rows is reduced twice by `_reduce_block`: in
+    Each block of KERNEL_BLOCK rows is reduced by `_reduce_block` in
     float64, which only picks the steps (a row it cannot finish keeps its
-    start), then in long double from those rows, which checks them,
-    finishes any row float64 left short and gives every value.  Every
-    reduced basis holds the same minimal vectors, so the values do not
-    depend on the start.
+    start), then in long double from those rows, which checks them and
+    finishes any row float64 left short.  `haar.reduced_sup_min` evaluates
+    the reduced pair expanded in long double.  That expansion cancels from
+    about e^T |coeffs| down to the vector's size, so its relative error
+    grows like 2^-64 e^{2T} (up to about 1e-6 at T = 15 on a sheared
+    hexagonal x0, 0 on Z^2 at T = 8).  Every reduced basis holds the same
+    minimal vectors, so the values do not depend on the start.
     """
     h = np.asarray(h, dtype=np.longdouble)
-    N = h.shape[0]
     B = np.asarray(basis, dtype=np.longdouble)
-    eT = np.exp(np.longdouble(T))
-    emT = np.exp(-np.longdouble(T))
-    out = np.empty(N)
-    for lo in range(0, N, KERNEL_BLOCK):
+    eT, emT = np.exp(np.longdouble(T)), np.exp(-np.longdouble(T))
+    out = np.empty(len(h))
+    for lo in range(0, len(h), KERNEL_BLOCK):
         rows = slice(lo, lo + KERNEL_BLOCK)
+        hr, C = h[rows], coeffs[:, rows]  # a view: the reduced rows land in `coeffs`
         # float64 picks the steps: past T of about 354 its norms overflow (and it loses
         # every digit well before), but a row it cannot finish keeps its start
         with np.errstate(all="ignore"):
-            _reduce_block(h[rows].astype(float), coeffs[:, rows], B.astype(float), np.float64(eT), np.float64(emT))
-        out[rows], guarded, stuck = _reduce_block(h[rows], coeffs[:, rows], B, eT, emT)
+            _reduce_block(hr.astype(float), C, B.astype(float), np.float64(eT), np.float64(emT))
+        guarded, stuck = _reduce_block(hr, C, B, eT, emT)
         if guarded:
             raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
         if stuck:
             raise InvariantViolation(f"Gauss reduction of {stuck} rows did not converge in 96 passes")
+        out[rows] = reduced_sup_min(*_expand(C[0], C[1], hr, B, eT, emT), *_expand(C[2], C[3], hr, B, eT, emT))
     return out
 
 
+def _expand(a, b, h, B, eT, emT):
+    """The vectors g_T u_h x0 (a, b) for integer rows a, b, in the float precision of `B`."""
+    a, b = a.astype(B.dtype), b.astype(B.dtype)
+    v1 = B[0, 0] * a + B[0, 1] * b
+    v2 = B[1, 0] * a + B[1, 1] * b
+    return eT * (v1 + h * v2), emT * v2
+
+
 def _reduce_block(h, coeffs, B, eT, emT):
-    """Gauss-reduce one block of rows in the float precision of `h`, `B` and `eT`.
+    """Gauss-reduce one block of rows in the float precision of `h`, `B` and `eT`; raises nothing.
 
-    Returns (sup-minima, rows past the 2^31 coefficient guard, rows not
-    reduced in 96 passes) and raises nothing.  The reduced integer rows
-    are written back into `coeffs` only for the rows it finished; the
-    minima of the other rows are meaningless.
+    Returns (rows past the 2^31 coefficient guard, rows not reduced in 96
+    passes); only the rows it finished are written back into `coeffs`.
     """
-
-    def vecs(a, b, h):
-        a, b = a.astype(B.dtype), b.astype(B.dtype)
-        v1 = B[0, 0] * a + B[0, 1] * b
-        v2 = B[1, 0] * a + B[1, 1] * b
-        return eT * (v1 + h * v2), emT * v2
-
-    def sup(x, y):
-        # rounding to float64 is monotone and odd, so the sup of the rounded components is the
-        # rounded sup; a component past float64's range rounds to inf, above any minimum (<= 1)
-        with np.errstate(over="ignore"):
-            return np.maximum(np.abs(x, dtype=float), np.abs(y, dtype=float))
-
-    best = np.empty(len(h))
-    guarded = 0
-    rows, hr, C = np.arange(len(h)), h, coeffs
-    u0, u1 = vecs(C[0], C[1], hr)
+    guarded, rows, hr, C = 0, np.arange(len(h)), h, coeffs
+    u0, u1 = _expand(C[0], C[1], hr, B, eT, emT)
     n1 = u0 * u0 + u1 * u1
     for _ in range(96):
-        w0, w1 = vecs(C[2], C[3], hr)
+        w0, w1 = _expand(C[2], C[3], hr, B, eT, emT)
         n2 = w0 * w0 + w1 * w1
         swap = n2 < n1
         # the shorter vector goes first (its expansion is carried to the next
         # pass); the projection onto it is symmetric in the two vectors
         n1 = np.minimum(n1, n2)
         mu = np.rint((u0 * w0 + u1 * w1) / n1).astype(float, copy=False)
-        # int64 products stay exact while |mu| and |C| stay below 2^31; a row past it
-        # (a NaN mu too) is dropped, so what its mu casts to is never used
+        # int64 products stay exact while |mu|, |C| <= 2^31; a row past it (or with a NaN mu) takes mu = 0, then leaves
         fits = np.abs(mu) <= 1 << 31
-        mu = mu.astype(np.int64)
+        mu = np.where(fits, mu, 0).astype(np.int64)
         C = np.where(swap, C[[2, 3, 0, 1]], C)
         C[2:] -= mu * C[:2]
         fits &= np.all(np.abs(C) <= 1 << 31, axis=0)
@@ -302,19 +287,14 @@ def _reduce_block(h, coeffs, B, eT, emT):
         done = fits & ~swap & (mu == 0)
         leave = done | ~fits
         if leave.any():
-            # a reduced row leaves with the candidates (1,0) and (0,1) of its minimum;
-            # a row past the guard leaves with its start rows untouched
+            # a reduced row leaves with its reduced rows, a row past the guard with its start rows
             coeffs[:, rows[done]] = np.compress(done, C, axis=1)
-            best[rows[done]] = np.minimum(sup(u0[done], u1[done]), sup(w0[done], w1[done]))
             guarded += int(np.count_nonzero(~fits))
             keep = ~leave
             rows, hr, C, u0, u1, n1 = rows[keep], hr[keep], np.compress(keep, C, axis=1), u0[keep], u1[keep], n1[keep]
             if rows.size == 0:
                 break
-    a1, b1, a2, b2 = coeffs
-    for cb in (1, -1):
-        best = np.minimum(best, sup(*vecs(a1 + cb * a2, b1 + cb * b2, h)))
-    return best, guarded, rows.size
+    return guarded, rows.size
 
 
 def default_safety(w, side):
@@ -383,10 +363,11 @@ def survivor_cover(x0, w, c, r, t, k_max):
     # each child's reduction starts from its parent's (level 0: the identity)
     coeffs = np.array([[1], [0], [0], [1]], dtype=np.int64) if w.d == 2 else None
     for k in range(1, k_max + 1):
-        child_sides = side / np.float_power(m_axis, k)
+        # before the sides: an M past 2^64 (t > 22.2 at d = 2) is a Python int numpy cannot take
         if total + len(kept) * n_children > BOX_BUDGET:
             truncated = True
             break
+        child_sides = side / np.float_power(m_axis, k)
         offsets = []
         for ax in range(L):
             off = np.arange(m_axis[ax]) * child_sides[ax]

@@ -12,8 +12,9 @@ The per-sample cusp function uses a vectorized Gauss (Lagrange)
 reduction of the 2x2 bases; from a reduced basis the sup-norm minimum
 is attained at coefficients (1,0), (0,1), (1,1) or (1,-1), since any
 sup minimizer has euclid norm <= sqrt(2) lambda_1 and therefore
-a^2 - |ab| + b^2 <= 2.  The reduction works component-wise on four
-flat float64 arrays (u0, u1, w0, w1) and keeps an active set: a row
+a^2 - |ab| + b^2 <= 2; `reduced_sup_min` evaluates them, for the cover's
+reduced pairs too.  The reduction works component-wise on four flat
+float64 arrays (u0, u1, w0, w1) and keeps an active set: a row
 that neither swaps nor takes a nonzero multiple in a pass never changes
 again, so it is written back and dropped.  Haar samples all leave after
 one pass; g_t u_h Z^2 at t = 4.5..6 takes 8-9 passes.  Everything is
@@ -23,7 +24,7 @@ reduction suffices here; on g_t u_h x it loses about e^{2t} max|B|^2
 2^-52, which `nondivergence_profile` reports as a warning once it is no
 longer small against eps.  The flowed bases of the survivor cover need
 the integer-tracked kernel in `covering`, whose float64 steps are checked
-by a long-double pass that gives its values.
+by a long-double pass; its reduced pairs come back here to be evaluated.
 """
 
 import math
@@ -40,7 +41,7 @@ C11 = 2.0  # perturbations g keep max(||g - I||, ||g^-1 - I||) <= C11 r
 MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
-DRAW_BUDGET = 10**8  # Haar samples core_inclusion_check may draw to fill U(eps/2): ~26 s
+DRAW_BUDGET = 10**8  # draws of any call: a Monte Carlo sample count, or core_inclusion_check's fill of U(eps/2)
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
 
@@ -169,10 +170,27 @@ def delta2_batch(B, norm="sup"):
     u0, u1, w0, w1 = gauss_reduce_batch(B)
     if norm == "euclid":
         return np.sqrt(np.minimum(u0 * u0 + u1 * u1, w0 * w0 + w1 * w1))
-    best = np.maximum(np.abs(u0), np.abs(u1))
-    for v0, v1 in ((w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1)):
-        best = np.minimum(best, np.maximum(np.abs(v0), np.abs(v1)))
+    return reduced_sup_min(u0, u1, w0, w1)
+
+
+def reduced_sup_min(u0, u1, w0, w1):
+    """The least sup norm of u, w, u + w, u - w for a reduced pair: float64, from any float precision.
+
+    Components are rounded to float64 before abs and max; rounding is monotone and odd, so this is the
+    minimum in the inputs' precision, rounded (a component past float64's range rounds to inf; minima are <= 1).
+    """
+    with np.errstate(over="ignore"):
+        best = np.maximum(np.abs(u0, dtype=float), np.abs(u1, dtype=float))
+        for v0, v1 in ((w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1)):
+            best = np.minimum(best, np.maximum(np.abs(v0, dtype=float), np.abs(v1, dtype=float)))
     return best
+
+
+def _require_samples(n_samples):
+    """n_samples as an int (`require_int`), refused with BudgetExceeded past DRAW_BUDGET before any work."""
+    if require_int("n-samples", n_samples) > DRAW_BUDGET:
+        raise BudgetExceeded(f"{int(n_samples)} samples, budget is {DRAW_BUDGET}")
+    return int(n_samples)
 
 
 def _require_d2(w):
@@ -200,7 +218,7 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1):
     _require_d2(w)
     if not 0 <= eps < math.inf:
         raise ValidationError("eps", "must be nonnegative and finite")
-    n_samples = require_int("n-samples", n_samples)
+    n_samples = _require_samples(n_samples)
 
     def work(rng, count):
         x, y, theta, _p = sample_batch(rng, count)
@@ -228,7 +246,7 @@ def sampler_calibration(n_samples, seed, threads=1):
     The stated density integrates to Pr[y >= c] = 3/(c pi) for c >= 1
     (the x-strip has width 1 and the domain mass is pi/3).
     """
-    n_samples = require_int("n-samples", n_samples)
+    n_samples = _require_samples(n_samples)
 
     def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
@@ -264,7 +282,7 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
         raise ValidationError("eps-grid", "need at least 3 epsilon values")
     if not all(0 < e < math.inf for e in eps_grid):
         raise ValidationError("eps-grid", "epsilons must be positive and finite")
-    n_samples = require_int("n-samples", n_samples)
+    n_samples = _require_samples(n_samples)
     B = x.basis
     log_b = math.log(float(np.max(np.abs(B))))
     # entries of g_t u_h B with |h| <= 2 stay below 3 max|B| e^|t|, so the squared

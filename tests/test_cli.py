@@ -291,6 +291,22 @@ def test_cover_budget_exit_3(capsys, monkeypatch):
     assert rep["results"]["truncated"] is True
 
 
+def test_cover_and_dim_past_int64_children(tmp_path, capsys):
+    """At t = 30 a box has more than 2^64 children per axis: the cover stops at the box budget
+    (exit 3, as at t = 22) and `dim` has too few levels to fit (exit 2), with no traceback."""
+    cfg = tmp_path / "w3.json"
+    cfg.write_text(json.dumps({"weights": {"i": [1.0], "j": [0.3, 0.7]}}))
+    for extra in (["--k-max", "2"], ["--config", str(cfg)]):
+        code, rep = run_json(capsys, "cover", "--t", "30", *extra)
+        assert code == 3
+        assert rep["results"]["truncated"] is True and rep["warnings"] == ["cover truncated at the box budget"]
+        assert [lv["k"] for lv in rep["results"]["levels"]] == [0]
+    code = cli.main(["dim", "--t", "30", "--k-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("degenerate: ")
+
+
 def test_cover_deep_cusp_exit_3(tmp_path, capsys):
     """Reduction coefficients past the exact-int64 range end in exit 3, not a traceback."""
     cfg = tmp_path / "deep.json"

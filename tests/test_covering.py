@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuspdim as cd
-from cuspdim import covering
+from cuspdim import covering, haar
 from cuspdim.covering import (
     _cf_lengths,
     _per_axis_count,
@@ -112,6 +112,14 @@ def test_kernel_coefficient_guard():
         sup_delta_flow_batch(np.array([1.0 / math.pi]), 23.0, np.eye(2), _identity_rows(1))
 
 
+@pytest.mark.parametrize("T", [354.0, 400.0, 710.0])
+def test_kernel_guard_casts_no_mu_past_int64(T):
+    """A mu past int64 (h = 1e-300 deep in the cusp) ends in the guard's error with no cast warning
+    (warnings are errors in this suite)."""
+    with pytest.raises(cd.BudgetExceeded, match="^Gauss reduction coefficients exceeded the exact-int64 range 2\\^31$"):
+        sup_delta_flow_batch(np.array([1e-300]), T, np.eye(2), _identity_rows(1))
+
+
 _S = 3**-0.25 * math.sqrt(2.0)
 _SHEARED_HEX = np.array([[1.0, -0.0007], [0.0013, 1.0 - 0.0013 * 0.0007]]) @ np.array(
     [[_S, _S / 2.0], [0.0, _S * math.sqrt(3.0) / 2.0]]
@@ -180,16 +188,16 @@ def test_kernel_error_against_decimal(T, hexagonal):
 
 
 def _long_double_only(h, T, basis):
-    """The Gauss loop run once, in long double, from the identity: the values or the error of that path."""
+    """The Gauss loop run once, in long double, from the identity, then the reduced pair evaluated:
+    the values or the error of that path."""
     LD = np.longdouble
-    best, guarded, stuck = covering._reduce_block(
-        np.asarray(h, dtype=LD), _identity_rows(len(h)), np.asarray(basis, dtype=LD), np.exp(LD(T)), np.exp(-LD(T))
-    )
+    h, C, B, eT, emT = np.asarray(h, dtype=LD), _identity_rows(len(h)), np.asarray(basis, dtype=LD), np.exp(LD(T)), np.exp(-LD(T))
+    guarded, stuck = covering._reduce_block(h, C, B, eT, emT)
     if guarded:
         return cd.BudgetExceeded, "Gauss reduction coefficients exceeded the exact-int64 range 2^31"
     if stuck:
         return cd.InvariantViolation, f"Gauss reduction of {stuck} rows did not converge in 96 passes"
-    return best
+    return haar.reduced_sup_min(*covering._expand(C[0], C[1], h, B, eT, emT), *covering._expand(C[2], C[3], h, B, eT, emT))
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0, 5.0, 8.0, 11.0, 14.0, 15.0])

@@ -91,6 +91,45 @@ def test_delta2_batch_multipass_vs_shortest_vector():
     assert np.all(2.0 * np.abs(u0 * w0 + u1 * w1) <= nu)
 
 
+def test_reduced_sup_min_float64_matches_the_candidate_loop():
+    """On float64 pairs the evaluator is bit for bit the candidate loop it replaced in `delta2_batch`."""
+    rng = rngmod.stream(4, 9)
+    x, y, theta, _ = sample_batch(rng, 3000)
+    B = np.concatenate([_bases(x, y, theta), _flow_bases(6.0, rng.uniform(-2.0, 2.0, 3000))])
+    u0, u1, w0, w1 = gauss_reduce_batch(B)
+    best = np.maximum(np.abs(u0), np.abs(u1))
+    for v0, v1 in ((w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1)):
+        best = np.minimum(best, np.maximum(np.abs(v0), np.abs(v1)))
+    got = haar.reduced_sup_min(u0, u1, w0, w1)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), best.view(np.int64))
+    assert np.array_equal(delta2_batch(B).view(np.int64), best.view(np.int64))
+
+
+def test_reduced_sup_min_long_double_rounds_once():
+    """Rounding each long-double component to float64 before abs and max gives the whole evaluation
+    done in long double and rounded once; a component past float64's range rounds to inf."""
+    LD = np.longdouble
+    rng = np.random.default_rng(41)
+
+    def comps():
+        # float64 values plus a tail below their last bit, so the long-double components round
+        return rng.standard_normal(5000).astype(LD) * (1 + rng.standard_normal(5000).astype(LD) * LD(2.0**-58))
+
+    u0, u1, w0, w1 = comps(), comps(), comps(), comps()
+    big = LD(2.0) ** 1100
+    u0[0] = big  # past float64's range: the minimum is another candidate
+    u0[1], u1[1], w0[1], w1[1] = big, LD(0), LD(0), -big  # every candidate past it: inf
+    assert np.finfo(LD).nmant > 52 and not np.isfinite(float(big))
+    with np.errstate(over="ignore"):
+        sups = [np.maximum(np.abs(v0), np.abs(v1)) for v0, v1 in ((u0, u1), (w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1))]
+        want = np.minimum.reduce(sups).astype(float)
+    got = haar.reduced_sup_min(u0, u1, w0, w1)
+    assert got.dtype == np.float64 and np.isfinite(got[0]) and got[1] == np.inf
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.count_nonzero(np.minimum.reduce(sups) != want) > 4000  # the inputs do carry bits float64 drops
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_delta2_batch_unreduced_row_raises():
     """A norm that underflows leaves a row unreduced: a typed error, not a NaN."""

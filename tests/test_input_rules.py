@@ -170,6 +170,28 @@ def test_inclusion_draws_capped_before_sampling(monkeypatch):
         haar.core_inclusion_check(1e-3, 0.0, W2, 20, 1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda n: haar.estimate_mu_U(0.1, W2, n, seed=0), id="estimate_mu_U"),
+        pytest.param(lambda n: haar.sampler_calibration(n, seed=0), id="sampler_calibration"),
+        pytest.param(lambda n: haar.nondivergence_profile(Z2, W2, 1.0, [0.1, 0.2, 0.4], n, seed=0), id="nondivergence_profile"),
+    ],
+)
+def test_sample_count_capped_before_sampling(monkeypatch, call):
+    """A Monte Carlo sample count above DRAW_BUDGET exits 3 naming the cap before any chunk is planned or drawn."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the sample cap was checked")
+
+    monkeypatch.setattr(haar, "DRAW_BUDGET", 1 << 16)
+    monkeypatch.setattr(haar.rngmod, "chunked_map", no_work)
+    with pytest.raises(cd.BudgetExceeded, match="^65537 samples, budget is 65536$"):
+        call((1 << 16) + 1)
+    with pytest.raises(AssertionError, match="^worked before"):  # admitted at the cap
+        call(1 << 16)
+
+
 def test_brute_count_budget_checked_first():
     """At weights (1; 1) and t = 10 one axis has 2 ceil(e^20) + 5 translates: refused before the walk."""
     with pytest.raises(cd.BudgetExceeded, match="^970330397 translates on one axis, budget is 100000000$"):
