@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, covering, flows, haar, lattices
-from .errors import BudgetExceeded, CuspDimError, ValidationError, require_int
+from .errors import BudgetExceeded, CuspDimError, DegenerateFit, ValidationError, require_int
 
 
 def _round12(obj):
@@ -321,7 +321,13 @@ def cmd_dim(args, config):
         fit = covering.box_dimension_fit(*synth)
     else:
         _, _, cover = _survivor_cover(args, config)
-        fit = covering.box_dimension_fit(cover)
+        try:
+            fit = covering.box_dimension_fit(cover)
+        except DegenerateFit as e:
+            # too few levels because the box budget stopped the cover is a work cap, not a fit
+            if cover.truncated:
+                raise BudgetExceeded(f"cover truncated at the box budget: {e}") from None
+            raise
     res = _fields(fit)
     warns = []
     code = 0

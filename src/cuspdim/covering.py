@@ -51,6 +51,7 @@ from .lattices import CELL_BUDGET, delta_weighted, make_lattice
 BOX_BUDGET = 10**7
 CF_BUDGET = 10**7
 KERNEL_BLOCK = 1 << 14  # rows per block of the d = 2 kernel (~4 MB of working arrays)
+KERNEL_PASSES = 96  # Gauss reduction passes of the d = 2 kernel before a row counts as not converging
 R_CAP = 1.0
 _NEAR_INT_TOL = 1e-9
 
@@ -247,7 +248,7 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
         if guarded:
             raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
         if stuck:
-            raise InvariantViolation(f"Gauss reduction of {stuck} rows did not converge in 96 passes")
+            raise InvariantViolation(f"Gauss reduction of {stuck} rows did not converge in {KERNEL_PASSES} passes")
         out[rows] = reduced_sup_min(*_expand(C[0], C[1], hr, B, eT, emT), *_expand(C[2], C[3], hr, B, eT, emT))
     return out
 
@@ -263,13 +264,14 @@ def _expand(a, b, h, B, eT, emT):
 def _reduce_block(h, coeffs, B, eT, emT):
     """Gauss-reduce one block of rows in the float precision of `h`, `B` and `eT`; raises nothing.
 
-    Returns (rows past the 2^31 coefficient guard, rows not reduced in 96
-    passes); only the rows it finished are written back into `coeffs`.
+    Returns (rows past the 2^31 coefficient guard, rows not reduced in
+    KERNEL_PASSES passes); only the rows it finished are written back
+    into `coeffs`.
     """
     guarded, rows, hr, C = 0, np.arange(len(h)), h, coeffs
     u0, u1 = _expand(C[0], C[1], hr, B, eT, emT)
     n1 = u0 * u0 + u1 * u1
-    for _ in range(96):
+    for _ in range(KERNEL_PASSES):
         w0, w1 = _expand(C[2], C[3], hr, B, eT, emT)
         n2 = w0 * w0 + w1 * w1
         swap = n2 < n1

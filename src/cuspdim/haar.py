@@ -331,48 +331,28 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     )
 
 
-def _beta_cf(a, x):
-    """The continued fraction of I_x(a, 1/2) (modified Lentz); it converges for x < (a + 1)/(a + 5/2)."""
-    c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
-    h = d
-    for m in range(1, 10**4):
-        for aa in (
-            m * (0.5 - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
-            d = 1.0 / (1.0 + aa * d)
-            c = 1.0 + aa / c
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            return h
-    raise InvariantViolation(f"incomplete beta continued fraction at a = {a}, x = {x} did not converge")
-
-
 def _t_quantile_975(dof):
     """The 0.975 quantile of Student's t with dof degrees of freedom (scipy's stdtrit(dof, 0.975)).
 
-    Newton on the upper tail P(T > t) = I_x(dof/2, 1/2)/2, x = dof/(dof + t^2),
-    from the normal quantile.  That start lies below the root and the tail is
-    convex in t, so the iterates rise to the root and every x they visit lies
-    where the continued fraction converges.  log Gamma(a + 1/2)/Gamma(a) is
-    lgamma's difference for small a and its asymptotic series past a = 25,
-    where the difference of two large lgamma values would lose digits.
+    For integer dof, P(|T| <= t) is a finite sum (Abramowitz-Stegun
+    26.7.3-26.7.4): with cos^2 th = dof/(dof + t^2), it is
+    sin th sum_k a_k cos^k th over k = dof - 2, dof - 4, ... >= 0, plus
+    2 th/pi for odd dof, where a_0 = 1, a_1 = 2/pi and a_k = a_{k-2} (k - 1)/k.
+    Its t-derivative is a_{dof-2} (dof - 1) cos^(dof+1) th / sqrt(dof), and
+    (2/pi) cos^2 th at dof 1.  The sum is concave in t, so Newton from t = 0
+    rises to the root.  Each power is exp((k/2) log cos^2 th): a rounded cos
+    raised to the power dof would lose digits at large dof.
     """
-    nu = float(dof)
-    a = nu / 2.0
-    if a < 25.0:
-        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
-    else:
-        log_ratio = 0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) - 1 / (640 * a**5) + 17 / (14336 * a**7)
-    log_norm = log_ratio - 0.5 * math.log(math.pi)  # log Gamma(a + 1/2) / (Gamma(a) Gamma(1/2))
-    t = 1.959963984540054
+    odd = dof % 2
+    k = np.arange(odd, dof - 1, 2.0)
+    a = np.cumprod(np.concatenate(([2 / math.pi if odd else 1.0], (k[1:] - 1) / k[1:])))[: k.size]
+    slope = a[-1] * (dof - 1) if dof > 1 else 2 / math.pi
+    t = 0.0
     for _ in range(100):
-        # I_x(a, 1/2) = x^a (1 - x)^(1/2) fraction / (a B(a, 1/2)); the density is x^(a + 1/2) / (sqrt(dof) B(a, 1/2))
-        log_x = -math.log1p(t * t / nu)  # log(dof/(dof + t^2)) without cancellation
-        log_root_1mx = math.log(t / math.sqrt(nu + t * t))
-        tail = 0.5 * math.exp(log_norm + a * log_x + log_root_1mx - math.log(a)) * _beta_cf(a, math.exp(log_x))
-        density = math.exp(log_norm + (a + 0.5) * log_x - 0.5 * math.log(nu))
-        step = (tail - 0.025) / density
+        log_c2 = -math.log1p(t * t / dof)  # log cos^2 th without cancellation
+        theta = math.atan(t / math.sqrt(dof))
+        p = math.sin(theta) * float(np.sum(a * np.exp(0.5 * k * log_c2))) + (2 * theta / math.pi if odd else 0.0)
+        step = (0.95 - p) / (slope * math.exp(0.5 * (dof + 1) * log_c2) / math.sqrt(dof))
         t += step
         if step <= 1e-13 * t:  # a step that does not rise is roundoff
             return t

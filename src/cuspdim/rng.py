@@ -10,6 +10,7 @@ workers processed the chunks.
 """
 
 import concurrent.futures
+import os
 
 import numpy as np
 
@@ -37,6 +38,8 @@ def chunked_map(fn, n_total, seed, stream_id, threads=1):
         i, count = arg
         return fn(stream(seed, stream_id, i), count)
 
+    # one chunk's working arrays are tens of MB, so no more run at once than there are CPUs
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(chunks) <= 1:
         return [run(c) for c in chunks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:

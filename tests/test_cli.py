@@ -293,7 +293,7 @@ def test_cover_budget_exit_3(capsys, monkeypatch):
 
 def test_cover_and_dim_past_int64_children(tmp_path, capsys):
     """At t = 30 a box has more than 2^64 children per axis: the cover stops at the box budget
-    (exit 3, as at t = 22) and `dim` has too few levels to fit (exit 2), with no traceback."""
+    (exit 3, as at t = 22) and so does `dim`, left with too few levels to fit, with no traceback."""
     cfg = tmp_path / "w3.json"
     cfg.write_text(json.dumps({"weights": {"i": [1.0], "j": [0.3, 0.7]}}))
     for extra in (["--k-max", "2"], ["--config", str(cfg)]):
@@ -303,8 +303,20 @@ def test_cover_and_dim_past_int64_children(tmp_path, capsys):
         assert [lv["k"] for lv in rep["results"]["levels"]] == [0]
     code = cli.main(["dim", "--t", "30", "--k-max", "4"])
     captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("budget exceeded: ")
+
+
+def test_dim_too_few_levels(capsys, monkeypatch):
+    """Too few levels to fit exit 3 when the box budget truncated the cover, 2 when every box died."""
+    monkeypatch.setattr(covering, "BOX_BUDGET", 1000)
+    code = cli.main(["dim", "--t", "2", "--k-max", "8"])  # one level, then the budget
+    assert code == 3
+    assert capsys.readouterr().err == "budget exceeded: cover truncated at the box budget: 1 usable levels, need >= 3\n"
+    monkeypatch.undo()
+    code = cli.main(["dim", "--c", "0.99", "--t", "2", "--k-max", "4"])  # every box dies at level 1
     assert code == 2
-    assert captured.err.startswith("degenerate: ")
+    assert capsys.readouterr().err == "degenerate: 0 usable levels, need >= 3\n"
 
 
 def test_cover_deep_cusp_exit_3(tmp_path, capsys):

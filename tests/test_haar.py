@@ -1,6 +1,8 @@
 """Haar sampling on the modular surface and measure estimates near the cusp."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -170,6 +172,29 @@ def test_mu_threads_invariant():
     assert a.hits == b.hits and a.mean == b.mean
 
 
+def test_chunked_map_caps_threads_at_cpu_count(monkeypatch):
+    """A thread count past the CPU count asks for no more workers than CPUs (the fake pool starts no thread)."""
+    asked = []
+
+    class InOrderPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InOrderPool)
+    out = rngmod.chunked_map(lambda rng, count: count, 2 * rngmod.CHUNK + 5, 0, stream_id=0, threads=10**6)
+    assert out == [rngmod.CHUNK, rngmod.CHUNK, 5]
+    assert all(n <= os.cpu_count() for n in asked)
+
+
 def test_mu_scaling_slope():
     """log mu vs log eps slope is d = 2 within 0.15 at 10^6 samples."""
     fracs = [cd.estimate_mu_U(e, W2, 10**6, seed=0, threads=2).mean for e in (0.02, 0.04, 0.08)]
@@ -275,10 +300,10 @@ def test_pinned_outputs(monkeypatch):
 
 
 def test_t_quantile_equals_stdtrit():
-    """The slope interval's 0.975 t quantile matches scipy's stdtrit to 1e-12 relative for dof 1..2000."""
+    """The slope interval's 0.975 t quantile matches scipy's stdtrit to 1e-12 relative for dof 1..2000 and 10^4..10^6."""
     from scipy.special import stdtrit
 
-    dofs = np.arange(1, 2001)
+    dofs = np.concatenate((np.arange(1, 2001), [10**4, 10**5, 10**6]))
     got = np.array([haar._t_quantile_975(int(dof)) for dof in dofs])
     want = stdtrit(dofs, 0.975)
     assert np.max(np.abs(got - want) / want) <= 1e-12
