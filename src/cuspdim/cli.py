@@ -24,14 +24,48 @@ from . import __version__, covering, flows, haar, lattices
 from .errors import BudgetExceeded, CuspDimError, DegenerateFit, ValidationError, require_int
 
 
+_POW10 = np.array([float(10**k) for k in range(23)])  # 10^0 .. 10^22, each an exact double
+
+
+def _round12_fast(x):
+    """float(f"{v:.12g}") for each v of a float64 array in one pass, and the mask of the
+    elements this pass leaves undecided (zero, inf, nan, |v| outside about [1e-11, 1e12),
+    near-ties); the caller rounds those through the string.
+
+    With k = 11 - floor(log10|v|) in [0, 22], 10^k is exact and p = |v| 10^k < 2^40 is
+    within 2^-14 of the exact product P.  Where p lies in [1e11 + 1, 1e12 - 1), P has 12
+    digits before the point whatever log10 rounded to; where p is also 1e-3 or more from
+    a half-integer, rint(p) is P rounded to an integer, and rint(p) / 10^k, one division
+    of two exact doubles, is the correctly rounded value of the 12-digit decimal.
+    """
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # log10(0), and nan/inf (signalling nans too) below
+        k = 11.0 - np.floor(np.log10(a))
+        ok = (k >= 0) & (k <= 22)
+        scale = _POW10[np.where(ok, k, 0).astype(np.intp)]
+        p = a * scale
+        n = np.rint(p)
+        ok &= (p >= 1e11 + 1) & (p < 1e12 - 1) & (np.abs(np.abs(p - n) - 0.5) >= 1e-3)
+        return np.copysign(n / scale, x), ~ok
+
+
 def _round12(obj):
-    """12 significant digits on every float in the structure; numpy scalars become Python numbers."""
+    """12 significant digits on every float in the structure; numpy scalars become Python numbers,
+    and arrays nested lists, a float array rounded in one pass (`_round12_fast`)."""
     if isinstance(obj, float):  # first: floats are most of a report (np.float64 is one too)
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f":
+            return _round12(obj.tolist())
+        # as the scalar path does, a float32 or long double element is first a float64
+        x = obj.astype(np.float64).ravel()
+        out, undecided = _round12_fast(x)
+        out[undecided] = [float(f"{v:.12g}") for v in x[undecided].tolist()]
+        return out.reshape(obj.shape).tolist()
     if isinstance(obj, np.floating):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, np.integer):
@@ -231,7 +265,7 @@ def cmd_orbit(args, config):
         "argmin_t": profile.argmin_t,
         "continuity_margin": profile.continuity_margin,
         "n_samples": len(profile.ts),
-        "samples": np.column_stack((profile.ts, profile.deltas)).tolist(),
+        "samples": np.column_stack((profile.ts, profile.deltas)),
     }
     return res, [], 0, lambda: ("t,delta_w", [
         f"{_fmt(float(t))},{_fmt(float(d))}" for t, d in zip(profile.ts, profile.deltas)

@@ -42,6 +42,10 @@ MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
 DRAW_BUDGET = 10**8  # draws of any call: a Monte Carlo sample count, or core_inclusion_check's fill of U(eps/2)
+# eps values of nondivergence_profile: a 2^16-sample chunk counts them one by one at 12-19 us each
+# and draws and reduces in 5.3 ms at the least measured (x = diag(e^3, e^-3), t = 0; 21 ms on Z^2;
+# one core of a 2-vCPU Xeon VM), so counting at the cap costs no more than the chunk's draws
+EPS_GRID_MAX = 256
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
 
@@ -280,6 +284,8 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 3:
         raise ValidationError("eps-grid", "need at least 3 epsilon values")
+    if len(eps_grid) > EPS_GRID_MAX:
+        raise ValidationError("eps-grid", f"{len(eps_grid)} epsilon values, at most {EPS_GRID_MAX}")
     if not all(0 < e < math.inf for e in eps_grid):
         raise ValidationError("eps-grid", "epsilons must be positive and finite")
     n_samples = _require_samples(n_samples)

@@ -8,9 +8,11 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuspdim as cd
-from cuspdim import cli, covering
+from cuspdim import cli, covering, flows
 
 with open("docs/report.schema.json") as f:
     SCHEMA = json.load(f)
@@ -651,6 +653,120 @@ def test_round12_values():
     assert type(got["a"][1]) is float and type(got["a"][2][0]) is float and type(got["a"][2][1]) is int
     assert got["b"][0] is True and math.copysign(1.0, got["b"][2]) == -1.0
     assert json.dumps(got, sort_keys=True) == '{"a": [0.123456789012, 0.666666666667, [0.10000000149, 7]], "b": [true, null, -0.0]}'
+
+
+def _string_round12(values):
+    """The scalar path, one float at a time through its `.12g` string: the reference of the array branch."""
+    return np.array([float(f"{v:.12g}") for v in np.asarray(values, dtype=np.float64).ravel().tolist()])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _decimal_ties(rng, n):
+    """Doubles nearest to 12-digit decimal ties (N + 1/2) 10^e, with their neighbours one ulp away,
+    and exact binary ties m / 2^(k+1) (m odd), whose 12-digit scaling m 5^k / 2 is a half-integer."""
+    near = [float(f"{10 * N + 5}e{e - 1}") for N, e in zip(rng.integers(10**11, 10**12, n).tolist(), rng.integers(-30, 31, n).tolist())]
+    exact = []
+    for k in range(17):
+        lo = -(-(2 ** (k + 1) * 10**11) // 10**k)  # x = m / 2^(k+1) in [10^(11-k), 10^(12-k))
+        hi = 2 ** (k + 1) * 10**12 // 10**k
+        exact += [m / 2 ** (k + 1) for m in rng.integers(lo, hi, 256).tolist() if m % 2]
+    x = np.array(near + exact)
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+def _round12_inputs():
+    rng = np.random.default_rng(20261021)
+    n = 1 << 18
+    log_uniform = np.exp(rng.uniform(math.log(1e-40), math.log(1e40), n // 2)) * rng.choice([-1.0, 1.0], n // 2)
+    grids = [flows.time_grid(t_max, dt) for t_max, dt in ((15.0, 0.01), (30.0, 0.01), (709.0, 0.01), (1.0, 1e-5), (100.0, 0.001))]
+    tens = np.array([float(f"1e{j}") for j in range(-45, 46)])
+    tens = np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    subnormals = rng.integers(1, 1 << 52, 4096, dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, tiny, np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max, math.inf, math.nan])
+    return {
+        "uniform(0, 1)": rng.random(n),
+        "uniform(0, 15)": rng.uniform(0.0, 15.0, n),
+        "log-uniform 1e-40..1e40, both signs": log_uniform,
+        "time_grid": np.concatenate(grids),
+        "random bits": rng.integers(0, 2**64, n // 4, dtype=np.uint64).view(np.float64),
+        "decimal ties": _decimal_ties(rng, 1 << 14),
+        "powers of ten": np.concatenate([tens, -tens]),
+        "subnormals, zeros, inf, nan": np.concatenate([subnormals, -subnormals, specials, -specials]),
+    }
+
+
+def test_round12_array_matches_string_path():
+    """The array branch equals float(f"{x:.12g}") bit for bit (sign of zero included) on over 10^6 floats."""
+    inputs = _round12_inputs()
+    assert sum(v.size for v in inputs.values()) >= 10**6
+    for name, values in inputs.items():
+        got = cli._round12(values)
+        assert type(got) is list and all(type(v) is float for v in got), name
+        assert np.array_equal(_bits(got), _bits(_string_round12(values))), name
+        # the same in a nested shape
+        m = values.size // 2 * 2
+        assert np.array_equal(_bits(cli._round12(values[:m].reshape(-1, 2))), _bits(got[:m]).reshape(-1, 2)), name
+
+
+def test_round12_array_shapes_and_dtypes():
+    """0-d and empty arrays, float32, int and bool arrays come out as the scalar path gives their `tolist()`."""
+    assert cli._round12(np.array(0.1234567890123456)) == 0.123456789012
+    negzero = cli._round12(np.array(-0.0))
+    assert type(negzero) is float and math.copysign(1.0, negzero) == -1.0
+    assert cli._round12(np.empty(0)) == [] and cli._round12(np.empty((0, 2))) == [] and cli._round12(np.empty((2, 0))) == [[], []]
+    f32 = np.random.default_rng(5).uniform(-15.0, 15.0, (64, 64)).astype(np.float32)
+    got = cli._round12(f32)
+    assert np.array_equal(_bits(got), _bits(_string_round12(f32.tolist())).reshape(64, 64))
+    assert cli._round12(np.float32(0.1)) == cli._round12(np.array([np.float32(0.1)]))[0] == 0.10000000149
+    ints = cli._round12(np.array([[1, -2], [3, 2**62]]))
+    assert ints == [[1, -2], [3, 2**62]] and all(type(v) is int for row in ints for v in row)
+    bools = cli._round12(np.array([True, False]))
+    assert bools == [True, False] and all(type(v) is bool for v in bools)
+    assert cli._round12({"samples": np.array([[0.5, 2.0 / 3.0]])}) == {"samples": [[0.5, 0.666666666667]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=30))
+def test_round12_array_property(values):
+    got = cli._round12(np.array(values, dtype=np.float64))
+    assert np.array_equal(_bits(got), _bits(_string_round12(values)))
+
+
+def test_round12_fast_path_decides_most_values():
+    """The one-pass rounding leaves under 1 % of uniform (0, 15) values, the orbit's kind of data,
+    to the string path, which is about 10x slower per value."""
+    x = np.random.default_rng(11).uniform(0.0, 15.0, 1 << 16)
+    _, undecided = cli._round12_fast(x)
+    assert np.count_nonzero(undecided) < 0.01 * x.size
+
+
+def _cf_value(quotients):
+    """[0; a_1, a_2, ...] as a float."""
+    x = 0.0
+    for a in reversed(quotients):
+        x = 1.0 / (a + x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "A",
+    [0.6369616873214543, _cf_value([1, 2] * 30), _cf_value([2, 3, 40000, 1, 2, 1, 1, 3])],
+    ids=["uniform", "quadratic", "near-rational"],
+)
+def test_orbit_csv_matches_json(capsys, A):
+    """Both formats of a t_max = 15 orbit carry the same rounded numbers: each CSV cell read back
+    as a float equals its JSON sample."""
+    argv = ["orbit", "--A", repr(A), "--t-max", "15"]
+    _, rep = run_json(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    head, *rows = out.splitlines()
+    assert head == "t,delta_w" and len(rows) == rep["results"]["n_samples"] == 1501
+    assert [[float(cell) for cell in row.split(",")] for row in rows] == rep["results"]["samples"]
 
 
 _W3 = cd.WeightVector((1.0,), (0.3, 0.7))

@@ -192,6 +192,20 @@ def test_sample_count_capped_before_sampling(monkeypatch, call):
         call(1 << 16)
 
 
+def test_eps_grid_capped_before_sampling(monkeypatch):
+    """An eps grid one value over EPS_GRID_MAX exits 1 naming `eps-grid` before any chunk is drawn."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the eps-grid cap was checked")
+
+    monkeypatch.setattr(haar.rngmod, "chunked_map", no_work)
+    grid = np.geomspace(0.01, 0.5, haar.EPS_GRID_MAX + 1).tolist()
+    with pytest.raises(cd.ValidationError, match=f"^eps-grid: {haar.EPS_GRID_MAX + 1} epsilon values, at most {haar.EPS_GRID_MAX}$"):
+        haar.nondivergence_profile(Z2, W2, 1.0, grid, 1000, seed=0)
+    with pytest.raises(AssertionError, match="^worked before"):  # admitted at the cap
+        haar.nondivergence_profile(Z2, W2, 1.0, grid[:-1], 1000, seed=0)
+
+
 def test_brute_count_budget_checked_first():
     """At weights (1; 1) and t = 10 one axis has 2 ceil(e^20) + 5 translates: refused before the walk."""
     with pytest.raises(cd.BudgetExceeded, match="^970330397 translates on one axis, budget is 100000000$"):
