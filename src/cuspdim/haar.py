@@ -8,23 +8,27 @@ are distinct points of SL_2(R)/SL_2(Z).  y is drawn by inverting the
 1/y^2 tail CDF on [sqrt(3)/2, inf), x uniformly, and proposals with
 x^2 + y^2 < 1 are rejected (acceptance (pi/3)/(2/sqrt(3)) ~ 0.9069).
 
-The per-sample cusp function uses a vectorized Gauss (Lagrange)
-reduction of the 2x2 bases; from a reduced basis the sup-norm minimum
-is attained at coefficients (1,0), (0,1), (1,1) or (1,-1), since any
-sup minimizer has euclid norm <= sqrt(2) lambda_1 and therefore
-a^2 - |ab| + b^2 <= 2; `reduced_sup_min` evaluates them, for the cover's
-reduced pairs too.  The reduction works component-wise on four flat
-float64 arrays (u0, u1, w0, w1) and keeps an active set: a row
-that neither swaps nor takes a nonzero multiple in a pass never changes
-again, so it is written back and dropped.  Haar samples all leave after
-one pass; g_t u_h Z^2 at t = 4.5..6 takes 8-9 passes.  Everything is
-exact up to float roundoff and cross-validated against the enumeration
-path in the tests.  Haar bases have moderate entries, so a float
-reduction suffices here; on g_t u_h x it loses about e^{2t} max|B|^2
-2^-52, which `nondivergence_profile` reports as a warning once it is no
-longer small against eps.  The flowed bases of the survivor cover need
-the integer-tracked kernel in `covering`, whose float64 steps are checked
-by a long-double pass; its reduced pairs come back here to be evaluated.
+A fundamental-domain sample needs no reduction: its columns, four flat
+arrays from `_columns`, are u = R(theta)(1/sqrt(y), 0) and
+w = R(theta)(x/sqrt(y), sqrt(y)), with |u|^2 = 1/y <= (x^2 + y^2)/y =
+|w|^2 and <u, w>/|u|^2 = x in [-1/2, 1/2], so they are Lagrange-reduced.
+From a reduced basis the sup-norm minimum is attained at coefficients
+(1,0), (0,1), (1,1) or (1,-1), since any sup minimizer has euclid norm
+<= sqrt(2) lambda_1 and therefore a^2 - |ab| + b^2 <= 2;
+`reduced_sup_min` evaluates them, for the cover's reduced pairs too.
+The float64 Gauss reduction `gauss_reduce_batch` serves the flowed bases
+g_t u_h x of `nondivergence_profile`, the perturbed bases of
+`core_inclusion_check` and `estimate_mu_U`'s samples (one pass).  It
+works on the four flat components and keeps an active set: a row that
+neither swaps nor takes a nonzero multiple in a pass never changes
+again, so it is written back and dropped; g_t u_h Z^2 at t = 4.5..6
+takes 8-9 passes.  Everything is exact up to float roundoff and
+cross-validated against the enumeration path in the tests.  Haar bases
+have moderate entries, so float64 suffices for them; on g_t u_h x the
+reduction loses about e^{2t} max|B|^2 2^-52, which `nondivergence_profile`
+reports as a warning once it is no longer small against eps.  The cover's
+flowed bases need the integer-tracked kernel in `covering`, whose float64
+steps a long-double pass checks; its reduced pairs come back here.
 """
 
 import math
@@ -109,18 +113,12 @@ def sample_batch(rng, count):
     return x, y, theta, proposed
 
 
-def _bases(x, y, theta):
-    """Stack of basis matrices R(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]]."""
+def _columns(x, y, theta):
+    """The reduced columns (u0, u1, w0, w1) of R(theta) [[1/sqrt(y), x/sqrt(y)], [0, sqrt(y)]]."""
     sy = np.sqrt(y)
-    N = len(x)
-    B = np.empty((N, 2, 2))
     c, s = np.cos(theta), np.sin(theta)
-    b00, b01, b10, b11 = 1.0 / sy, x / sy, np.zeros(N), sy
-    B[:, 0, 0] = c * b00 - s * b10
-    B[:, 0, 1] = c * b01 - s * b11
-    B[:, 1, 0] = s * b00 + c * b10
-    B[:, 1, 1] = s * b01 + c * b11
-    return B
+    b00, b01 = 1.0 / sy, x / sy
+    return c * b00, s * b00, c * b01 - s * sy, s * b01 + c * sy
 
 
 def gauss_reduce_batch(B):
@@ -225,8 +223,9 @@ def estimate_mu_U(eps, w, n_samples, seed, threads=1):
     n_samples = _require_samples(n_samples)
 
     def work(rng, count):
-        x, y, theta, _p = sample_batch(rng, count)
-        return int(np.count_nonzero(delta2_batch(_bases(x, y, theta)) < eps))
+        u0, u1, w0, w1 = _columns(*sample_batch(rng, count)[:3])
+        # reduced all the same: the benchmark tracer's test asserts one delta2_batch span per chunk here
+        return int(np.count_nonzero(delta2_batch(np.stack([u0, w0, u1, w1], 1).reshape(-1, 2, 2)) < eps))
 
     hits = sum(rngmod.chunked_map(work, n_samples, seed, stream_id=1, threads=threads))
     mean = hits / n_samples
@@ -255,7 +254,8 @@ def sampler_calibration(n_samples, seed, threads=1):
     def work(rng, count):
         x, y, theta, proposed = sample_batch(rng, count)
         tail = [int(np.count_nonzero(y >= cut)) for cut in Y_CUTS]
-        dmax = float(np.max(delta2_batch(_bases(x, y, theta), "euclid")))
+        u0, u1, w0, w1 = _columns(x, y, theta)
+        dmax = float(np.max(np.sqrt(np.minimum(u0 * u0 + u1 * u1, w0 * w0 + w1 * w1))))
         return tail, proposed, dmax
 
     out = rngmod.chunked_map(work, n_samples, seed, stream_id=2, threads=threads)
@@ -458,13 +458,12 @@ def core_inclusion_check(eps, r, w, n_samples, n_perturb, seed):
     while kept < n_samples:
         if drawn > DRAW_BUDGET:
             raise BudgetExceeded("could not collect enough samples inside U(eps/2)")
-        x, y, theta, _ = sample_batch(rng, 1 << 15)
+        u0, u1, w0, w1 = _columns(*sample_batch(rng, 1 << 15)[:3])
         drawn += 1 << 15
-        bases = _bases(x, y, theta)
-        d = delta2_batch(bases, "sup")
-        keep.append(bases[d < half])
+        k = reduced_sup_min(u0, u1, w0, w1) < half
+        keep.append(np.stack([u0[k], w0[k], u1[k], w1[k]], 1))
         kept += len(keep[-1])
-    bases = np.concatenate(keep)[:n_samples]
+    bases = np.concatenate(keep)[:n_samples].reshape(-1, 2, 2)
 
     g, renorm_rejects = _perturbations(rngmod.stream(seed, stream_id=5), r, C11, n_samples * n_perturb)
     perturbed = g @ np.repeat(bases, n_perturb, axis=0)

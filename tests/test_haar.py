@@ -10,10 +10,16 @@ import pytest
 import cuspdim as cd
 from cuspdim import haar
 from cuspdim import rng as rngmod
-from cuspdim.haar import _bases, _perturbations, delta2_batch, gauss_reduce_batch, sample_batch
+from cuspdim.haar import Y_MIN, _columns, _perturbations, delta2_batch, gauss_reduce_batch, sample_batch
 
 W2 = cd.EQUAL_WEIGHTS_2D
 MINKOWSKI = 2.0 / math.sqrt(math.pi)
+
+
+def _stacked(x, y, theta):
+    """The (N, 2, 2) basis stack whose columns `_columns` returns."""
+    u0, u1, w0, w1 = _columns(x, y, theta)
+    return np.stack([u0, w0, u1, w1], 1).reshape(-1, 2, 2)
 
 
 def test_sample_domain_invariants():
@@ -22,7 +28,27 @@ def test_sample_domain_invariants():
     assert np.all(np.abs(x) <= 0.5)
     assert np.all(x * x + y * y >= 1.0)
     assert np.all((0.0 <= theta) & (theta < math.pi))
-    assert np.all(np.abs(np.linalg.det(_bases(x, y, theta)) - 1.0) <= 1e-9)
+    u0, u1, w0, w1 = _columns(x, y, theta)
+    assert np.all(np.abs(u0 * w1 - u1 * w0 - 1.0) <= 1e-9)
+
+
+def test_fundamental_domain_columns_need_no_reduction():
+    """Unreduced columns of fundamental-domain samples give `delta2_batch`'s values bit for bit, both norms."""
+    draws = [sample_batch(rngmod.stream(0, 1, chunk), rngmod.CHUNK)[:3] for chunk in range(8)]
+    x, y, theta = (np.concatenate(v) for v in zip(*draws))
+    # the domain's boundary: its corners x = +-1/2 at the least y the sampler accepts there (at the double
+    # nearest sqrt(3)/2, x^2 + y^2 rounds below 1), the strip's edges at y = 5 and the arc's midpoint
+    corner = np.nextafter(Y_MIN, 1.0)
+    assert 0.25 + Y_MIN * Y_MIN < 1.0 <= 0.25 + corner * corner
+    edge = np.array([(-0.5, corner), (0.5, corner), (-0.5, 5.0), (0.5, 5.0), (0.0, 1.0)])
+    x = np.concatenate([x, np.repeat(edge[:, 0], 4)])
+    y = np.concatenate([y, np.repeat(edge[:, 1], 4)])
+    theta = np.concatenate([theta, np.tile([0.0, 0.3, 1.2, 3.0], len(edge))])
+    u0, u1, w0, w1 = _columns(x, y, theta)
+    B = _stacked(x, y, theta)
+    assert np.array_equal(haar.reduced_sup_min(u0, u1, w0, w1).view(np.int64), delta2_batch(B).view(np.int64))
+    shorter = np.sqrt(np.minimum(u0 * u0 + u1 * u1, w0 * w0 + w1 * w1))
+    assert np.array_equal(shorter.view(np.int64), delta2_batch(B, "euclid").view(np.int64))
 
 
 def test_tail_matches_analytic():
@@ -51,7 +77,7 @@ def test_delta2_batch_vs_enumeration():
     """Reduction-based shortest length equals brute enumeration, both norms."""
     rng = rngmod.stream(2, 9)
     x, y, theta, _ = sample_batch(rng, 300)
-    B = _bases(x, y, theta)
+    B = _stacked(x, y, theta)
     for norm in ("euclid", "sup"):
         got = delta2_batch(B, norm)
         rng2 = np.arange(-40, 41)
@@ -79,7 +105,7 @@ def test_delta2_batch_multipass_vs_shortest_vector():
     """One stack mixing flowed and Haar rows, which leave the active set at different passes."""
     rng = rngmod.stream(6, 9)
     x, y, theta, _ = sample_batch(rng, 120)
-    parts = [_bases(x, y, theta)] + [_flow_bases(t, rng.uniform(-2.0, 2.0, 120)) for t in (4.5, 6.0)]
+    parts = [_stacked(x, y, theta)] + [_flow_bases(t, rng.uniform(-2.0, 2.0, 120)) for t in (4.5, 6.0)]
     B = np.concatenate(parts)[rng.permutation(360)]
     for norm in ("euclid", "sup"):
         got = delta2_batch(B, norm)
@@ -97,7 +123,7 @@ def test_reduced_sup_min_float64_matches_the_candidate_loop():
     """On float64 pairs the evaluator is bit for bit the candidate loop it replaced in `delta2_batch`."""
     rng = rngmod.stream(4, 9)
     x, y, theta, _ = sample_batch(rng, 3000)
-    B = np.concatenate([_bases(x, y, theta), _flow_bases(6.0, rng.uniform(-2.0, 2.0, 3000))])
+    B = np.concatenate([_stacked(x, y, theta), _flow_bases(6.0, rng.uniform(-2.0, 2.0, 3000))])
     u0, u1, w0, w1 = gauss_reduce_batch(B)
     best = np.maximum(np.abs(u0), np.abs(u1))
     for v0, v1 in ((w0, w1), (u0 + w0, u1 + w1), (u0 - w0, u1 - w1)):
@@ -210,7 +236,7 @@ def _theta_z(norm):
             x, y, theta, _ = sample_batch(rng, count)
             if zero_theta:
                 theta = np.zeros_like(theta)
-            return int(np.count_nonzero(delta2_batch(_bases(x, y, theta), norm) < 0.2))
+            return int(np.count_nonzero(delta2_batch(_stacked(x, y, theta), norm) < 0.2))
 
         mean = sum(rngmod.chunked_map(work, 50000, 3, stream_id=1)) / 50000
         return mean, math.sqrt(mean * (1.0 - mean) / 50000)
