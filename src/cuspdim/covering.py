@@ -35,7 +35,7 @@ exact-int64 range raise BudgetExceeded.  Other weights and dimensions
 evaluate delta_w(g_T u_h x0) by exact enumeration per box.  The float
 Gauss loop in `haar` stays separate: on its measured client, `nondiv`'s
 flowed bases (2^16 rows of g_t u_h Z^2 at t = 4.5-6), it takes
-0.031-0.036 s against this kernel's 0.052-0.059 s, and one
+0.015-0.026 s against this kernel's 0.045-0.066 s, and one
 integer-tracked loop with float64 expansion was less accurate.
 """
 

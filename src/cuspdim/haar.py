@@ -19,10 +19,12 @@ From a reduced basis the sup-norm minimum is attained at coefficients
 The float64 Gauss reduction `gauss_reduce_batch` serves the flowed bases
 g_t u_h x of `nondivergence_profile`, the perturbed bases of
 `core_inclusion_check` and `estimate_mu_U`'s samples (one pass).  It
-works on the four flat components and keeps an active set: a row that
-neither swaps nor takes a nonzero multiple in a pass never changes
-again, so it is written back and dropped; g_t u_h Z^2 at t = 4.5..6
-takes 8-9 passes.  Everything is exact up to float roundoff and
+works on the four flat components.  A row that neither swaps nor takes
+a nonzero multiple in a pass is finished and never changes again; it is
+carried along until at most a quarter of the carried rows still change,
+because dropping rows gathers every carried row: g_t u_h Z^2 at t = 5
+takes 8 passes and drops rows in passes 5-7, not in each of passes 1-7.
+Everything is exact up to float roundoff and
 cross-validated against the enumeration path in the tests.  Haar bases
 have moderate entries, so float64 suffices for them; on g_t u_h x the
 reduction loses about e^{2t} max|B|^2 2^-52, which `nondivergence_profile`
@@ -46,9 +48,9 @@ MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
 DRAW_BUDGET = 10**8  # draws of any call: a Monte Carlo sample count, or core_inclusion_check's fill of U(eps/2)
-# eps values of nondivergence_profile: a 2^16-sample chunk counts them one by one at 12-19 us each
-# and draws and reduces in 5.3 ms at the least measured (x = diag(e^3, e^-3), t = 0; 21 ms on Z^2;
-# one core of a 2-vCPU Xeon VM), so counting at the cap costs no more than the chunk's draws
+# eps values of nondivergence_profile: a 2^16-sample chunk counts 256 of them one by one in 2.9-3.0 ms
+# and draws and reduces in 8-10 ms at the least measured (x = diag(e^3, e^-3), t = 0; 23 ms on Z^2
+# at t = 5; one core of a 2-vCPU Xeon VM), so counting at the cap costs less than the chunk's draws
 EPS_GRID_MAX = 256
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
@@ -126,15 +128,19 @@ def gauss_reduce_batch(B):
 
     Returns the reduced columns u = (u0, u1) and w = (w0, w1) as four
     1-D arrays.  Each pass swaps u and w where w is shorter and then
-    subtracts the nearest-integer multiple of u from w; a row that
-    neither swaps nor gets a nonzero multiple never changes again, so it
-    is written back and leaves the active set.  A row still active after
+    subtracts the nearest-integer multiple of u from w.  A row that
+    neither swaps nor gets a nonzero multiple is finished, and later
+    passes leave it as it is: finished rows are written back and dropped
+    only once at most a quarter of the carried rows still change.  Zeros
+    enter as +0, because w - (-0) turns a -0 in w into +0; with no -0 in
+    the inputs none arises, so a finished row keeps its bits and a row's
+    result does not depend on its batch.  A row still active after
     MAX_PASSES passes (not converged, or a norm that underflowed to NaN)
     raises InvariantViolation instead of coming back unreduced.
     """
     n = len(B)
-    U0, U1 = B[:, 0, 0].copy(), B[:, 1, 0].copy()
-    W0, W1 = B[:, 0, 1].copy(), B[:, 1, 1].copy()
+    U0, U1 = B[:, 0, 0] + 0.0, B[:, 1, 0] + 0.0
+    W0, W1 = B[:, 0, 1] + 0.0, B[:, 1, 1] + 0.0
     rows = np.arange(n)
     u0, u1, w0, w1 = U0, U1, W0, W1
     nu = u0 * u0 + u1 * u1  # w alone changes in a pass, so |u|^2 carries over
@@ -147,20 +153,21 @@ def gauss_reduce_batch(B):
             nu = np.where(swap, nw, nu)
         mu = np.rint((u0 * w0 + u1 * w1) / nu)
         active = swap | (mu != 0)
-        if not active.all():
-            if len(rows) == n and not active.any():  # nothing dropped yet: the working arrays are the result
+        left = int(np.count_nonzero(active))
+        if 4 * left <= len(rows):  # a compaction gathers every carried row: worth it once 3/4 of them are done
+            if len(rows) == n and not left:  # nothing dropped yet: the working arrays are the result
                 return u0, u1, w0, w1
             done = ~active
             idx = rows[done]
             U0[idx], U1[idx], W0[idx], W1[idx] = u0[done], u1[done], w0[done], w1[done]
             rows = rows[active]
             u0, u1, w0, w1, nu, mu = u0[active], u1[active], w0[active], w1[active], nu[active], mu[active]
-        if not len(rows):
-            return U0, U1, W0, W1
+            if not len(rows):
+                return U0, U1, W0, W1
         w0 = w0 - mu * u0
         w1 = w1 - mu * u1
     raise InvariantViolation(
-        f"Gauss reduction left {len(rows)} of {n} rows unreduced after {MAX_PASSES} passes "
+        f"Gauss reduction left {left} of {n} rows unreduced after {MAX_PASSES} passes "
         "(no convergence, or a norm outside the float64 range)"
     )
 
@@ -309,9 +316,14 @@ def nondivergence_profile(x, w, t, eps_grid, n_samples, seed, threads=1):
     def work(rng, count):
         h = rng.uniform(-2.0, 2.0, count)
         bases = np.empty((count, 2, 2))
-        # g_t u_h B: top row (B0 + h B1) e^t, bottom row B1 e^-t
-        bases[:, 0, :] = (B[0, :][None, :] + h[:, None] * B[1, :][None, :]) * et
-        bases[:, 1, :] = B[1, :][None, :] * emt
+        # g_t u_h B: top row (B0 + h B1) e^t, one column at a time in one buffer; bottom row B1 e^-t
+        top = np.empty(count)
+        for k in range(2):
+            np.multiply(h, B[1, k], out=top)
+            top += B[0, k]
+            top *= et
+            bases[:, 0, k] = top
+        bases[:, 1, :] = B[1, :] * emt
         d = delta2_batch(bases, "sup")
         return np.array([int(np.count_nonzero(d < e)) for e in eps_grid])
 

@@ -119,6 +119,26 @@ def test_delta2_batch_multipass_vs_shortest_vector():
     assert np.all(2.0 * np.abs(u0 * w0 + u1 * w1) <= nu)
 
 
+def test_row_reduction_does_not_depend_on_its_batch():
+    """Whole, in sub-batches of 1-7 rows, or a row at a time: each row's reduced columns have the same bits."""
+    rng = rngmod.stream(8, 9)
+    x, y, theta, _ = sample_batch(rng, 200)
+    integer = rng.integers(-3, 4, size=(300, 2, 2)).astype(float)
+    integer[:, 0, 0], integer[:, 1, 0], integer[:, 1, 1] = 1.0, 0.0, 1.0
+    integer *= np.where(rng.random(300) < 0.5, -1.0, 1.0)[:, None, None]  # -1 diagonals, zeros turn -0
+    parts = [_stacked(x, y, theta), rng.normal(size=(200, 2, 2)), integer]
+    parts += [_flow_bases(t, rng.uniform(-2.0, 2.0, 150)) for t in (0.0, 4.5, 6.0, 12.0, 30.0)]
+    B = np.concatenate(parts)
+    B = B[rng.permutation(len(B))]
+    assert np.any(np.signbit(B) & (B == 0.0))
+    by_row = [gauss_reduce_batch(B[k : k + 1]) for k in range(len(B))]
+    want = np.stack([np.concatenate(c) for c in zip(*by_row)]).view(np.int64)
+    assert np.array_equal(np.stack(gauss_reduce_batch(B)).view(np.int64), want)
+    cuts = np.cumsum(rng.integers(1, 8, size=len(B)))
+    pieces = [gauss_reduce_batch(b) for b in np.split(B, cuts[cuts < len(B)])]
+    assert np.array_equal(np.stack([np.concatenate(c) for c in zip(*pieces)]).view(np.int64), want)
+
+
 def test_reduced_sup_min_float64_matches_the_candidate_loop():
     """On float64 pairs the evaluator is bit for bit the candidate loop it replaced in `delta2_batch`."""
     rng = rngmod.stream(4, 9)
@@ -168,6 +188,15 @@ def test_delta2_batch_unreduced_row_raises():
         delta2_batch(B[:1])
     assert delta2_batch(B[1:]).tolist() == [1.0]
     assert delta2_batch(np.empty((0, 2, 2))).shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_unreduced_count_is_rows_still_active():
+    """Finished rows carried along are not counted: 3 underflowing rows among 8 give "3 of 8"."""
+    bad = [[1.0, (5**0.5 - 1) / 2], [0.0, 1e-300]]
+    B = np.array([bad, np.eye(2), [[2.0, 1.0], [1.0, 1.0]], bad, np.eye(2), [[1.0, 3.0], [0.0, 1.0]], bad, np.eye(2)])
+    with pytest.raises(cd.InvariantViolation, match="3 of 8 rows"):
+        delta2_batch(B)
 
 
 def test_mu_examples():
@@ -323,6 +352,13 @@ def test_pinned_outputs(monkeypatch):
     monkeypatch.setattr(haar, "C11", 1e-3)
     with pytest.raises(cd.BudgetExceeded):
         cd.core_inclusion_check(0.3, 0.8, W2, 200, 5, seed=0)
+
+
+def test_pinned_nondivergence_on_a_sheared_basis():
+    """Exact fractions on a basis with both off-diagonal entries nonzero, where h B[1, 0] enters the top row."""
+    x0 = cd.make_lattice([[1.0, 0.5], [0.25, 1.125]])
+    fit = cd.nondivergence_profile(x0, W2, 5.0, [0.02, 0.04, 0.08, 0.16], 100000, seed=4, threads=2)
+    assert fit.fractions == [0.03018, 0.00727, 0.00169, 0.00044]
 
 
 def test_t_quantile_equals_stdtrit():
