@@ -48,9 +48,9 @@ MAX_PASSES = 64  # Gauss reduction passes before a row counts as not converging
 PERTURB_TRIES = 1000  # consecutive rejected perturbations before core_inclusion_check gives up
 PAIR_BUDGET = 10**6  # sample-perturbation pairs of core_inclusion_check: ~170 B each at peak, ~170 MB
 DRAW_BUDGET = 10**8  # draws of any call: a Monte Carlo sample count, or core_inclusion_check's fill of U(eps/2)
-# eps values of nondivergence_profile: a 2^16-sample chunk counts 256 of them one by one in 2.9-3.0 ms
-# and draws and reduces in 8-10 ms at the least measured (x = diag(e^3, e^-3), t = 0; 23 ms on Z^2
-# at t = 5; one core of a 2-vCPU Xeon VM), so counting at the cap costs less than the chunk's draws
+# eps values of nondivergence_profile: a 2^16-sample chunk counts 256 of them one by one in 2.9-3.2 ms
+# and draws and reduces in 7.7-10 ms at the least measured (x = diag(e^3, e^-3), t = 0; 19-23 ms on
+# Z^2 at t = 5; one core of a 2-vCPU Xeon VM), so counting at the cap costs less than the chunk's draws
 EPS_GRID_MAX = 256
 Y_CUTS = (1.5, 2.0, 3.0)  # the tail points Pr[y >= c] of sampler_calibration
 
