@@ -24,13 +24,22 @@ integer-tracked Gauss reduction: basis vectors of g_T u_h x0 are carried
 as integer combinations of the original generators, so every step is
 exact, and re-expanded each step, because a naive float reduction loses
 the short vector once e^{2T} exceeds 1/eps_machine.  Each block of rows
-is reduced in float64, which only picks the steps, then in long double
-from those rows, which checks them (about one pass per box); the loops
-only reduce, and `haar.reduced_sup_min` evaluates the reduced pair
-expanded in long double (relative error about 2^-64 e^{2T}).  Each
-child's reduction starts from its parent's reduced integer basis (its h
-moves by less than the parent's side, so a few steps finish it), and
-each pass runs only on the rows not yet reduced.  Coefficients past the
+is reduced in float64, which only picks the steps.  The values kernel,
+`sup_delta_flow_batch`, then reduces in long double from those rows,
+which checks them, and `haar.reduced_sup_min` evaluates the reduced pair
+expanded in long double (relative error about 2^-64 e^{2T}).  The
+survivor cover needs only whether a child's value clears eps/safety.
+Its keep test, `_keep_flow_batch`, expands the float64-picked rows once
+in float64 and bounds each component's distance from the long-double one
+by 16 (u64 + u_ld) S, with S the sum of the absolute terms of the
+expansion.  A row whose pair is Gauss-reduced with a margin above that
+bound, and whose value clears the threshold by more than it, is decided
+in float64: the long-double decision is proven the same.  Long double
+runs only on the rows the bound leaves open (6 of 1.44 million rows in
+one `cover_dim` benchmark pass).  Each child's reduction starts from its
+parent's reduced integer basis (its h moves by less than the parent's
+side, so a few steps finish it), and each pass runs only on the rows not
+yet reduced.  Coefficients past the
 exact-int64 range raise BudgetExceeded.  Other weights and dimensions
 evaluate delta_w(g_T u_h x0) by exact enumeration per box.  The float
 Gauss loop in `haar` stays separate: on its measured client, `nondiv`'s
@@ -224,7 +233,7 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
     the reduced rows; a nearly reduced start, such as a parent box's basis
     at an earlier time, needs only a few steps.  Every step is exact in
     int64 while |coeffs| <= 2^31 (beyond it BudgetExceeded is raised).
-    Each block of KERNEL_BLOCK rows is reduced by `_reduce_block` in
+    Each block of KERNEL_BLOCK rows is reduced by `_float_steps` in
     float64, which only picks the steps (a row it cannot finish keeps its
     start), then in long double from those rows, which checks them and
     finishes any row float64 left short.  `haar.reduced_sup_min` evaluates
@@ -232,19 +241,21 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
     about e^T |coeffs| down to the vector's size, so its relative error
     grows like 2^-64 e^{2T} (up to about 1e-6 at T = 15 on a sheared
     hexagonal x0, 0 on Z^2 at T = 8).  Every reduced basis holds the same
-    minimal vectors, so the values do not depend on the start.
+    minimal vectors, so the values do not depend on the start.  These
+    values and that error are the kernel's whatever calls it.  The
+    survivor cover asks only whether a value clears its threshold:
+    `_keep_flow_batch` decides that in float64 where its bound,
+    16 (u64 + u_ld) S per component, proves the long-double decision the
+    same, and runs this kernel only on the rows the bound leaves open.
     """
-    h = np.asarray(h, dtype=np.longdouble)
-    B = np.asarray(basis, dtype=np.longdouble)
+    h64, B64 = np.asarray(h, dtype=float), np.asarray(basis, dtype=float)
+    h, B = np.asarray(h, dtype=np.longdouble), B64.astype(np.longdouble)
     eT, emT = np.exp(np.longdouble(T)), np.exp(-np.longdouble(T))
     out = np.empty(len(h))
     for lo in range(0, len(h), KERNEL_BLOCK):
         rows = slice(lo, lo + KERNEL_BLOCK)
         hr, C = h[rows], coeffs[:, rows]  # a view: the reduced rows land in `coeffs`
-        # float64 picks the steps: past T of about 354 its norms overflow (and it loses
-        # every digit well before), but a row it cannot finish keeps its start
-        with np.errstate(all="ignore"):
-            _reduce_block(hr.astype(float), C, B.astype(float), np.float64(eT), np.float64(emT))
+        _float_steps(h64[rows], T, B64, C)
         guarded, stuck = _reduce_block(hr, C, B, eT, emT)
         if guarded:
             raise BudgetExceeded("Gauss reduction coefficients exceeded the exact-int64 range 2^31")
@@ -252,6 +263,90 @@ def sup_delta_flow_batch(h, T, basis, coeffs):
             raise InvariantViolation(f"Gauss reduction of {stuck} rows did not converge in {KERNEL_PASSES} passes")
         out[rows] = reduced_sup_min(*_expand(C[0], C[1], hr, B, eT, emT), *_expand(C[2], C[3], hr, B, eT, emT))
     return out
+
+
+def _float_steps(h, T, B, coeffs):
+    """The float64 Gauss passes of one block: they pick the steps; a row they cannot finish keeps its start.
+
+    Past T of about 354 the norms overflow (past 709.8, e^T itself; every
+    digit is lost well before), so floating-point warnings are off.
+    Returns the float64 (e^T, e^-T) it expanded with.
+    """
+    with np.errstate(all="ignore"):
+        eT, emT = np.exp(T), np.exp(-T)
+        _reduce_block(h, coeffs, B, eT, emT)
+    return eT, emT
+
+
+def _keep_flow_batch(h, T, basis, coeffs, thresh):
+    """sup_delta_flow_batch(h, T, basis, coeffs) >= thresh, its reduced rows and errors; float64 decides where it can.
+
+    Each block of KERNEL_BLOCK rows takes the kernel's float64 steps
+    (`_float_steps`) and expands the picked rows once in float64.  Let
+    u64, u_ld be the unit roundoffs of float64 and long double (half their
+    `np.finfo` eps) and S the sum, over the row's two vectors (a, b), of
+    e^T (|B00 a| + |B01 b| + |h| (|B10 a| + |B11 b|)) + e^-T (|B10 a| + |B11 b|).
+    The error bound follows the standard rounding model (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 2-3; gamma_n = n u / (1 - n u)):
+      * a, b, h and B are exact in both precisions, and a component
+        e^T (v1 + h v2) or e^-T v2 takes at most five rounded operations
+        and one np.exp (taken within 2 ulp, 4 u), so in either precision it
+        is within gamma_9(u) times its part of S of its real value;
+      * a component of u + w or u - w adds one rounding: gamma_10(u) S;
+      * so every candidate component of `haar.reduced_sup_min` in float64
+        is within D = 10.01 (u64 + u_ld) S of the long-double one, and
+        err = 16 (u64 + u_ld) S exceeds D with room for the rounding of
+        this test.
+    A row is decided here when both hold:
+      * its pair is Gauss-reduced with a margin: |a1| + |a2| and
+        |b1| + |b2| are at most 2^31 and, with n1, n2, p = |u|^2, |w|^2,
+        <u, w> and R = |u0| + |u1| + |w0| + |w1| in float64, n2 - n1 >= m
+        and n1 - 2 |p| >= m for m = 8 err (R + 2 err).  The long-double n1,
+        n2, p differ from these by at most
+        2.01 (D + (u64 + u_ld)(R + 2 D))(R + 2 D) < m / 3 (R <= S), so the
+        long-double pass passes its guard and sees n2 >= n1 and
+        |p / n1| <= 1/2: it takes no step, and these rows are its result;
+      * its float64 value v clears thresh by more than err.  The
+        long-double minimum lies within D of v and is rounded to float64,
+        which is monotone: v - err > thresh keeps the row, and v + err
+        below the float64 just under thresh discards it.
+    A bound that overflows is not finite and decides nothing.  Every other
+    row (ties, values near thresh, rows the float64 pass left short or
+    past the 2^31 guard, rows deep in the cusp) goes through
+    `sup_delta_flow_batch`, one call per block, from its float64-picked
+    rows, which the kernel's own float64 pass leaves as they are; its
+    reduced rows are written back and its errors are the kernel's.  Long
+    double runs only there, and the bound holds where np.longdouble is
+    float64.
+    """
+    h, B = np.asarray(h, dtype=float), np.asarray(basis, dtype=float)
+    unit = float(np.finfo(float).eps + np.finfo(np.longdouble).eps) / 2  # u64 + u_ld
+    below = np.nextafter(thresh, -np.inf)
+    keep = np.empty(len(h), dtype=bool)
+    for lo in range(0, len(h), KERNEL_BLOCK):
+        rows = slice(lo, lo + KERNEL_BLOCK)
+        hr, C = h[rows], coeffs[:, rows]  # a view: the reduced rows land in `coeffs`
+        eT, emT = _float_steps(hr, T, B, C)
+        with np.errstate(all="ignore"):
+            u0, u1 = _expand(C[0], C[1], hr, B, eT, emT)
+            w0, w1 = _expand(C[2], C[3], hr, B, eT, emT)
+            a, b = np.abs(C[0]) + np.abs(C[2]), np.abs(C[1]) + np.abs(C[3])
+            top = np.abs(B[0, 0]) * a + np.abs(B[0, 1]) * b
+            bottom = np.abs(B[1, 0]) * a + np.abs(B[1, 1]) * b
+            S = eT * (top + np.abs(hr) * bottom) + emT * bottom
+            err = 16.0 * unit * S
+            m = 8.0 * err * (np.abs(u0) + np.abs(u1) + np.abs(w0) + np.abs(w1) + 2.0 * err)
+            n1, p2 = u0 * u0 + u1 * u1, 2.0 * np.abs(u0 * w0 + u1 * w1)
+            reduced = (w0 * w0 + w1 * w1 - n1 >= m) & (n1 - p2 >= m) & (np.maximum(a, b) <= 1 << 31)
+            v = reduced_sup_min(u0, u1, w0, w1)
+            over = v - err > thresh
+            keep[rows] = over
+            open_ = np.flatnonzero(~(reduced & (over | (v + err < below))))
+        if open_.size:
+            C_open = C[:, open_]
+            keep[lo + open_] = sup_delta_flow_batch(hr[open_], T, basis, C_open) >= thresh
+            C[:, open_] = C_open
+    return keep
 
 
 def _expand(a, b, h, B, eT, emT):
@@ -310,10 +405,8 @@ def default_safety(w, side):
     return (1.0 + w.n * side / 2.0) ** (1.0 / float(np.min(w.powers)))
 
 
-def _delta_at_centers(centers, T, x0, w, coeffs):
-    """delta_w at the box centers; the d = 2 kernel starts from `coeffs` and updates them."""
-    if coeffs is not None:
-        return sup_delta_flow_batch(centers[:, 0], T, x0.basis, coeffs)
+def _delta_at_centers(centers, T, x0, w):
+    """delta_w at the box centers by exact enumeration, one box at a time (the cover's path off d = 2)."""
     G = g_t(w, T)
     out = np.empty(len(centers))
     for idx, hrow in enumerate(centers):
@@ -328,9 +421,13 @@ def survivor_cover(x0, w, c, r, t, k_max):
     Level 0 is the single cube V_r = (0, side)^L.  Level k+1 refines
     every surviving box into its conjugated-tessellation sub-boxes and
     keeps a sub-box unless its center certifiably enters U at time
-    (k+1) t: survive iff delta_w(g_{(k+1)t} u_center x0) >= eps/safety
-    (at d = 2, equal weights, each child's reduction starts from the
-    reduced integer basis of its parent).  The safety factor,
+    (k+1) t: survive iff delta_w(g_{(k+1)t} u_center x0) >= eps/safety.
+    At d = 2, equal weights, `_keep_flow_batch` decides this from each
+    child's reduction, started from the reduced integer basis of its
+    parent: in float64 where its error bound proves the long-double
+    decision of `sup_delta_flow_batch` the same, by that kernel for the
+    rows the bound leaves open, so the counts are the kernel's.  Other
+    weights evaluate delta_w box by box.  The safety factor,
     `default_safety`, covers the distance from the center to any point
     of the box after conjugation, so discarding is sound (conservative
     keep).  Each parent axis splits into M = `_per_axis_count(e^(lambda t))`
@@ -383,12 +480,13 @@ def survivor_cover(x0, w, c, r, t, k_max):
         parent_lows = kept - parent_sides / 2.0
         centers = (parent_lows[:, None, :] + off_grid[None, :, :]).reshape(-1, L) + child_sides / 2.0
         total += len(centers)
-        child_coeffs = None if coeffs is None else np.repeat(coeffs, n_children, axis=1)
-        dvals = _delta_at_centers(centers, k * t, x0, w, child_coeffs)
-        keep = dvals >= thresh
-        kept = centers[keep]
-        if coeffs is not None:
+        if coeffs is None:
+            keep = _delta_at_centers(centers, k * t, x0, w) >= thresh
+        else:
+            child_coeffs = np.repeat(coeffs, n_children, axis=1)
+            keep = _keep_flow_batch(centers[:, 0], k * t, x0.basis, child_coeffs, thresh)
             coeffs = child_coeffs[:, keep]
+        kept = centers[keep]
         parent_sides = child_sides
         lvl = CoverLevel(k=k, centers=kept, half_sides=child_sides / 2.0, count=len(kept))
         levels.append(lvl)

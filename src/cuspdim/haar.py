@@ -29,8 +29,11 @@ cross-validated against the enumeration path in the tests.  Haar bases
 have moderate entries, so float64 suffices for them; on g_t u_h x the
 reduction loses about e^{2t} max|B|^2 2^-52, which `nondivergence_profile`
 reports as a warning once it is no longer small against eps.  The cover's
-flowed bases need the integer-tracked kernel in `covering`, whose float64
-steps a long-double pass checks; its reduced pairs come back here.
+flowed bases need the integer-tracked reduction in `covering`.  Its keep
+test brings the float64 expansion of each reduced pair here and decides
+the row from it where a proven error bound makes the long-double decision
+the same; the rows the bound leaves open take the long-double values
+kernel (error about 2^-64 e^{2T}), whose reduced pairs come back here too.
 """
 
 import math

@@ -227,6 +227,83 @@ def test_kernel_deep_rows_match_long_double_loop(h, T, hexagonal):
         assert np.array_equal(sup_delta_flow_batch(np.array([h]), T, basis, _identity_rows(1)), want)
 
 
+def _kernel_or_error(h, T, basis, coeffs):
+    """sup_delta_flow_batch's values, or the class and message of its error."""
+    try:
+        return sup_delta_flow_batch(h, T, basis, coeffs)
+    except (cd.BudgetExceeded, cd.InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_keep_matches_kernel(h, T, basis, start, thresholds):
+    """The keep test gives the kernel's `>= thresh`, its reduced rows and its errors."""
+    want_rows = start.copy()
+    want = _kernel_or_error(h, T, basis, want_rows)
+    for thresh in thresholds:
+        rows = start.copy()
+        if isinstance(want, tuple):
+            with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
+                covering._keep_flow_batch(h, T, basis, rows, thresh)
+        else:
+            assert np.array_equal(covering._keep_flow_batch(h, T, basis, rows, thresh), want >= thresh), thresh
+            assert np.array_equal(rows, want_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    T=st.floats(0.0, 15.0),
+    t=st.floats(0.0, 3.0),
+    shift=st.floats(-1.0, 1.0),
+    pick=st.integers(0, 39),
+    hexagonal=st.booleans(),
+)
+def test_keep_test_matches_kernel(hs, T, t, shift, pick, hexagonal):
+    """Float64 keep/discard under the error bound, long double for the rows it leaves open, gives the kernel's
+    `>= thresh` and reduced rows from cold and warm starts, in blocks of 7 rows, with thresholds on a row's value."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    h = np.array(hs)
+    start = _identity_rows(len(h))
+    T0 = max(T - t, 0.0)
+    if isinstance(_kernel_or_error(h + shift * math.exp(-2.0 * T0), T0, basis, start), tuple):
+        start = _identity_rows(len(h))  # no parent rows past the guard: a cold start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "KERNEL_BLOCK", 7)
+        vals = _kernel_or_error(h, T, basis, start.copy())
+        v = 0.25 if isinstance(vals, tuple) else vals[pick % len(h)]
+        _assert_keep_matches_kernel(h, T, basis, start, (v, np.nextafter(v, 0.0), np.nextafter(v, 1.0), 0.25))
+
+
+@pytest.mark.parametrize(
+    "h, T",
+    [(0.7952948234487297, 16.0), (0.7952948234487297, 17.0), (0.831396183096627, 16.0), (1 / math.pi, 20.0), (1 / math.pi, 23.0)],
+)
+@pytest.mark.parametrize("hexagonal", [False, True], ids=["Z2", "hex"])
+def test_keep_test_deep_rows_match_kernel(h, T, hexagonal):
+    """Rows deep in the cusp (ROADMAP item 11) give the kernel's decision and rows, or its error class and
+    message, alone and among uniform rows."""
+    basis = _SHEARED_HEX if hexagonal else np.eye(2)
+    hs = np.concatenate([[h], np.random.default_rng(41).uniform(0.0, 1.0, 20)])
+    for batch in (hs[:1], hs):
+        want = _kernel_or_error(batch, T, basis, _identity_rows(len(batch)))
+        v = 0.25 if isinstance(want, tuple) else want[0]
+        _assert_keep_matches_kernel(batch, T, basis, _identity_rows(len(batch)), (v, np.nextafter(v, 0.0)))
+
+
+def test_keep_test_sends_only_open_rows_to_long_double(monkeypatch):
+    """At T = 5, a threshold on a row's own value sends the rows that tie it to the long-double kernel,
+    and the float64 bound decides all but a few of the other rows."""
+    h = np.random.default_rng(43).uniform(0.0, 1.0, 2000)
+    vals = sup_delta_flow_batch(h, 5.0, _SHEARED_HEX, _identity_rows(len(h)))
+    sent = []
+    kernel = covering.sup_delta_flow_batch
+    monkeypatch.setattr(covering, "sup_delta_flow_batch", lambda hr, *a: sent.extend(hr) or kernel(hr, *a))
+    keep = covering._keep_flow_batch(h, 5.0, _SHEARED_HEX, _identity_rows(len(h)), vals[17])
+    assert np.array_equal(keep, vals >= vals[17])
+    assert set(h[vals == vals[17]]) <= set(sent)
+    assert len(sent) <= 10
+
+
 def test_extinction_near_c1(cover_c025):
     """c = 0.9 exceeds the Hurwitz ceiling 1/sqrt(5): nothing survives."""
     x0 = cd.make_lattice(np.eye(2))
@@ -534,7 +611,8 @@ def test_cf_oracle_shares_no_code_with_the_cover():
         if isinstance(node, ast.ImportFrom) and node.module in ("flows", "lattices", "haar")
         for alias in node.names
     }
-    banned = {"survivor_cover", "sup_delta_flow_batch", "_reduce_block", "_delta_at_centers", "flows", "lattices", "haar"}
+    banned = {"survivor_cover", "sup_delta_flow_batch", "_keep_flow_batch", "_float_steps", "_reduce_block", "_delta_at_centers"}
+    banned |= {"flows", "lattices", "haar"}
     banned |= imported
     seen, todo = set(), ["cf_digit_oracle"]
     while todo:
